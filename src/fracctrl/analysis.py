@@ -9,7 +9,7 @@ import io
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import betaln
@@ -199,11 +199,9 @@ def save_reference(triple: OptimalTriple, digest: str) -> str:
     return path
 
 
-def load_reference(digest: str, spec: ProblemSpec) -> OptimalTriple | None:
-    """Load a cached reference; returns None on miss or corruption."""
-    path = cache_path(digest)
-    if not os.path.exists(path):
-        return None
+def read_reference(path: str):
+    """(U, Z, c, meta) of a cache entry, or None when the entry is missing,
+    foreign, of another cache version or fails its payload digest."""
     try:
         with np.load(path, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"]))
@@ -214,6 +212,15 @@ def load_reference(digest: str, spec: ProblemSpec) -> OptimalTriple | None:
                 return None
     except Exception:
         return None
+    return U, Z, c, meta
+
+
+def load_reference(digest: str, spec: ProblemSpec) -> OptimalTriple | None:
+    """Load a cached reference; returns None on miss or corruption."""
+    entry = read_reference(cache_path(digest))
+    if entry is None:
+        return None
+    U, Z, c, meta = entry
     pair = spec.exponent_pair()
     g, b = pair.sigma, pair.sigma_star
     u_fun = SpectralFunction((g, b), JacobiParams(g, b), U)
@@ -229,11 +236,7 @@ def reference_solve(spec: ProblemSpec, N_ref: int, config: SolverConfig,
                     use_cache: bool = True,
                     cache: ConversionCache | None = None) -> OptimalTriple:
     """Solve at the reference truncation, consulting the disk cache."""
-    ref_cfg = SolverConfig(
-        N=N_ref, mode=config.mode, inner_tol=config.inner_tol,
-        inner_max=config.inner_max, outer_tol=config.outer_tol,
-        outer_max=config.outer_max, bootstrap_N=config.bootstrap_N,
-    )
+    ref_cfg = replace(config, N=N_ref)
     digest = _spec_digest(spec, N_ref, ref_cfg)
     if use_cache:
         hit = load_reference(digest, spec)
@@ -317,11 +320,7 @@ def convergence_study(spec: ProblemSpec, Ns, N_ref: int, config: SolverConfig,
     ).state_order
     per_var = {k: [] for k in ConvergenceReport.VARIABLES}
     for N in Ns:
-        cfg = SolverConfig(
-            N=N, mode=config.mode, inner_tol=config.inner_tol,
-            inner_max=config.inner_max, outer_tol=config.outer_tol,
-            outer_max=config.outer_max, bootstrap_N=config.bootstrap_N,
-        )
+        cfg = replace(config, N=N)
         t0 = time.perf_counter()
         triple = optimize(spec, cfg, cache=shared)
         dt = time.perf_counter() - t0

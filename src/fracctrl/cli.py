@@ -25,8 +25,8 @@ import numpy as np
 
 from . import analysis
 from .fracparams import ParameterDomainError, solve_sigma
-from .solver import ProblemSpec, SolverConfig, SolverError, optimize
-from .transforms import JacobiParams, SpectralFunction, chebyshev_expand
+from .solver import LINEAR_SOLVES, ProblemSpec, SolverConfig, SolverError, optimize
+from .transforms import SpectralFunction, chebyshev_expand, chebyshev_to_jacobi
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,7 +44,7 @@ _PROBLEM_KEYS = {"alpha", "theta", "lambda1", "lambda2", "gamma", "beta",
                  "f", "u_d", "data_regularity"}
 _SOLVER_KEYS = {"mode", "N", "Ns", "N_ref", "inner_tol", "inner_max",
                 "outer_tol", "outer_max", "bootstrap_N"}
-_OUTPUT_KEYS = {"format", "path", "verbosity"}
+_OUTPUT_KEYS = {"format", "path"}
 _TOP_KEYS = {"problem", "solver", "output"}
 
 
@@ -111,7 +111,7 @@ def _build_factor(name, label: str) -> SpectralFunction | None:
                 coeffs = np.asarray(json.load(fh), dtype=float)
         except (OSError, ValueError, json.JSONDecodeError) as exc:
             raise ConfigError(f"{label}: cannot load coefficients: {exc}") from exc
-        return SpectralFunction((0.0, 0.0), JacobiParams(-0.5, -0.5), coeffs)
+        return chebyshev_to_jacobi(coeffs)
     raise ConfigError(
         f"{label}: expected one of {sorted(registry)} or "
         f'{{"chebyshev_file": path}}, got {name!r}'
@@ -304,15 +304,7 @@ def cmd_cache(args) -> int:
             return EXIT_OK
         bad = []
         for name in random.sample(entries, min(len(entries), args.sample)):
-            path = os.path.join(cdir, name)
-            try:
-                with np.load(path, allow_pickle=False) as data:
-                    meta = json.loads(str(data["meta"]))
-                    ok = (meta.get("magic") == analysis.CACHE_MAGIC and
-                          meta.get("payload_digest") == analysis._payload_digest(
-                              data["U"], data["Z"], float(data["c"])))
-            except Exception:
-                ok = False
+            ok = analysis.read_reference(os.path.join(cdir, name)) is not None
             print(f"{name}: {'ok' if ok else 'CORRUPT'}")
             if not ok:
                 bad.append(name)
@@ -328,8 +320,6 @@ def make_parser() -> argparse.ArgumentParser:
         description="Spectral solver for fractional diffusion-advection "
                     "optimal control problems.",
     )
-    ap.add_argument("--threads", type=int, default=None,
-                    help="limit BLAS/FFT thread pools")
     sub = ap.add_subparsers(dest="command", required=True)
 
     st = sub.add_parser("sigma-table", help="print the exponent-pair table")
@@ -342,7 +332,7 @@ def make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=(name == "study"), default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--mode", choices=("direct", "fast"), default=None)
+        p.add_argument("--mode", choices=sorted(LINEAR_SOLVES), default=None)
         p.add_argument("--format", choices=("csv", "json", "md"), default=None)
         p.add_argument("--no-cache", action="store_true")
         p.set_defaults(func=fn)
@@ -358,12 +348,6 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        if args.threads:
-            try:
-                import threadpoolctl
-                threadpoolctl.threadpool_limits(args.threads)
-            except ImportError:
-                pass
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

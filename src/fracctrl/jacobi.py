@@ -1,5 +1,5 @@
-"""Shifted Jacobi polynomials on [0,1]: evaluation, norms, derivatives,
-and Gauss-Jacobi quadrature.
+"""Shifted Jacobi polynomials on [0,1]: evaluation, norms and
+Gauss-Jacobi quadrature.
 
 The basis is Q_n^{g,b}(x) = P_n^{g,b}(2x-1), orthogonal on [0,1] against
 the weight w^{g,b}(x) = (1-x)^g x^b.  All gamma-function work goes through
@@ -77,24 +77,33 @@ def jacobi_norm_sq(n: int | np.ndarray, p: JacobiParams) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def jacobi_matrix(nmax: int, p: JacobiParams, x: np.ndarray) -> np.ndarray:
-    """Values Q_n^{g,b}(x) for n = 0..nmax; shape (nmax+1, len(x)).
+def jacobi_rows(p: JacobiParams, t: np.ndarray):
+    """Yield Q_0^{g,b}, Q_1^{g,b}, ... at t = 2x-1, without end.
 
-    Runs the classical three-term recurrence in t = 2x-1.
+    Runs the classical three-term recurrence, keeping two rows.
     """
     g, b = p.gamma, p.beta
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    t = 2.0 * x - 1.0
-    out = np.empty((nmax + 1, x.size))
-    out[0] = 1.0
-    if nmax >= 1:
-        out[1] = 0.5 * ((g + b + 2.0) * t + (g - b))
-    for n in range(2, nmax + 1):
+    pm2 = np.ones_like(t)
+    yield pm2
+    pm1 = 0.5 * ((g + b + 2.0) * t + (g - b))
+    yield pm1
+    n = 2
+    while True:
         c1 = 2.0 * n * (n + g + b) * (2 * n + g + b - 2)
         c2 = (2 * n + g + b - 1) * (g * g - b * b)
         c3 = (2 * n + g + b - 1) * (2 * n + g + b) * (2 * n + g + b - 2)
         c4 = 2.0 * (n + g - 1) * (n + b - 1) * (2 * n + g + b)
-        out[n] = ((c2 + c3 * t) * out[n - 1] - c4 * out[n - 2]) / c1
+        pm2, pm1 = pm1, ((c2 + c3 * t) * pm1 - c4 * pm2) / c1
+        yield pm1
+        n += 1
+
+
+def jacobi_matrix(nmax: int, p: JacobiParams, x: np.ndarray) -> np.ndarray:
+    """Values Q_n^{g,b}(x) for n = 0..nmax; shape (nmax+1, len(x))."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty((nmax + 1, x.size))
+    for n, row in zip(range(nmax + 1), jacobi_rows(p, 2.0 * x - 1.0)):
+        out[n] = row
     return out
 
 
@@ -105,29 +114,6 @@ def eval_jacobi(n: int, p: JacobiParams, x: float | np.ndarray) -> float | np.nd
     x = np.asarray(x, dtype=float)
     vals = jacobi_matrix(n, p, np.atleast_1d(x))[n]
     return float(vals[0]) if x.ndim == 0 else vals
-
-
-def jacobi_series(coeffs: np.ndarray, p: JacobiParams, x: np.ndarray) -> np.ndarray:
-    """sum_n coeffs[n] Q_n^{g,b}(x), streaming the recurrence (O(1) rows kept)."""
-    g, b = p.gamma, p.beta
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    t = 2.0 * x - 1.0
-    nmax = len(coeffs) - 1
-    pm2 = np.ones_like(x)
-    acc = coeffs[0] * pm2
-    if nmax == 0:
-        return acc
-    pm1 = 0.5 * ((g + b + 2.0) * t + (g - b))
-    acc += coeffs[1] * pm1
-    for n in range(2, nmax + 1):
-        c1 = 2.0 * n * (n + g + b) * (2 * n + g + b - 2)
-        c2 = (2 * n + g + b - 1) * (g * g - b * b)
-        c3 = (2 * n + g + b - 1) * (2 * n + g + b) * (2 * n + g + b - 2)
-        c4 = 2.0 * (n + g - 1) * (n + b - 1) * (2 * n + g + b)
-        pm2, pm1 = pm1, ((c2 + c3 * t) * pm1 - c4 * pm2) / c1
-        if coeffs[n] != 0.0:
-            acc += coeffs[n] * pm1
-    return acc
 
 
 def gauss_jacobi_rule(npts: int, p: JacobiParams) -> QuadratureRule:
@@ -158,37 +144,3 @@ def gauss_jacobi_rule(npts: int, p: JacobiParams) -> QuadratureRule:
         raise RuntimeError(f"Golub-Welsch eigensolve failed for {p}") from exc
     mu0 = np.exp(betaln(g + 1.0, b + 1.0))
     return QuadratureRule(nodes=(t + 1.0) / 2.0, weights=mu0 * v[0] ** 2, params=p)
-
-
-@dataclass(frozen=True)
-class DerivativeReindex:
-    """Result of differentiating in the Jacobi frame: D^k maps degree n,
-    params (g,b) to degree n-k, params (g+k,b+k), times a scalar.
-
-    plain_scale:    factor in D^k Q_n^{g,b} = plain_scale * Q_{n-k}^{g+k,b+k}
-    weighted_scale: factor in
-                    D^k [w^{g+k,b+k} Q_{n-k}^{g+k,b+k}] = weighted_scale * w^{g,b} Q_n^{g,b}
-    """
-
-    plain_scale: float
-    weighted_scale: float
-    degree: int
-    params: JacobiParams
-    is_zero: bool = False
-
-
-def derivative_reindex(n: int, k: int, p: JacobiParams) -> DerivativeReindex:
-    """Scales and reindexing for the k-th derivative of Q_n^{g,b}."""
-    if k < 0 or n < 0:
-        raise ValueError("degree and order must be nonnegative")
-    if k > n:
-        return DerivativeReindex(0.0, 0.0, 0, JacobiParams(p.gamma + k, p.beta + k), True)
-    g, b = p.gamma, p.beta
-    plain = np.exp(gammaln(n + k + g + b + 1) - gammaln(n + g + b + 1))
-    weighted = (-1.0) ** k * np.exp(gammaln(n + 1) - gammaln(n - k + 1))
-    return DerivativeReindex(
-        plain_scale=float(plain),
-        weighted_scale=float(weighted),
-        degree=n - k,
-        params=JacobiParams(g + k, b + k),
-    )

@@ -1,6 +1,5 @@
 """Discrete optimality system: stiffness S (diagonal), mass M, advection
-D and Dhat, the rectangular advection factor W with row-shift diagonal
-Lambda, preconditioners, and right-hand-side assembly.
+D and Dhat, preconditioners, and right-hand-side assembly.
 
 State system:    (S - lam1*D + lam2*M) U = F
 Adjoint system:  (S + lam1*Dhat + lam2*M^T) Z = G
@@ -18,21 +17,12 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .fracparams import ExponentPair, lambda_coeff
-from .jacobi import JacobiParams, gauss_jacobi_rule, jacobi_matrix, jacobi_norm_sq
+from .jacobi import JacobiParams, gauss_jacobi_rule, jacobi_matrix, jacobi_norm_sq, jacobi_rows
 from .transforms import ConversionCache, SpectralFunction
 
 
 class AssemblyError(RuntimeError):
     """Raised when an operator or right-hand side cannot be assembled."""
-
-
-def _recurrence_step(n, g, b, t, pm1, pm2):
-    """One step of the Jacobi three-term recurrence at fixed nodes."""
-    c1 = 2.0 * n * (n + g + b) * (2 * n + g + b - 2)
-    c2 = (2 * n + g + b - 1) * (g * g - b * b)
-    c3 = (2 * n + g + b - 1) * (2 * n + g + b) * (2 * n + g + b - 2)
-    c4 = 2.0 * (n + g - 1) * (n + b - 1) * (2 * n + g + b)
-    return ((c2 + c3 * t) * pm1 - c4 * pm2) / c1
 
 
 def stiffness_diagonal(N: int, pair: ExponentPair) -> np.ndarray:
@@ -97,7 +87,7 @@ class FastOperatorApply:
         mid = np.zeros(self.N + 2)
         mid[: self.N + 1] = self.h_a1[: self.N + 1] * Ua1
         WU = self.Cw_l2.apply(self.Cw_l1.apply(mid))
-        # Lambda * (W with first row removed) * U
+        # D U: drop the first row of the weak derivative, scale row n by -(n+1)
         return -(np.arange(self.N + 1) + 1.0) * WU[1:]
 
     def __call__(self, U: np.ndarray) -> np.ndarray:
@@ -113,9 +103,10 @@ class FastOperatorApply:
 class OperatorSet:
     """The assembled discrete operators at truncation N.
 
-    In dense mode M, D, Dhat, W are materialized matrices; in fast mode
-    apply_A / apply_B route through factored transforms and the dense
-    fields are None.
+    assemble_dense fills the oracle matrices M, D, Dhat, which dense_A /
+    dense_B combine; assemble_fast fills the factored transforms behind
+    apply_A / apply_B.  Each accessor raises AssemblyError on a set built
+    without what it needs.
     """
 
     N: int
@@ -123,42 +114,36 @@ class OperatorSet:
     lam1: float
     lam2: float
     S: np.ndarray
-    mode: str
+    Q_diag: np.ndarray
     M: np.ndarray | None = None
     D: np.ndarray | None = None
     Dhat: np.ndarray | None = None
-    W: np.ndarray | None = None
-    Q_diag: np.ndarray | None = None
     _fast_A: FastOperatorApply | None = field(default=None, repr=False)
     _fast_B: FastOperatorApply | None = field(default=None, repr=False)
 
-    @property
-    def Lambda(self) -> np.ndarray:
-        return -(np.arange(self.N + 1) + 1.0)
-
     def dense_A(self) -> np.ndarray:
-        if self.mode != "dense":
-            raise AssemblyError("dense matrix requested from fast-mode OperatorSet")
+        if self.D is None:
+            raise AssemblyError("no dense matrices in an OperatorSet from assemble_fast")
         return np.diag(self.S) - self.lam1 * self.D + self.lam2 * self.M
 
     def dense_B(self) -> np.ndarray:
-        if self.mode != "dense":
-            raise AssemblyError("dense matrix requested from fast-mode OperatorSet")
+        if self.Dhat is None:
+            raise AssemblyError("no dense matrices in an OperatorSet from assemble_fast")
         return np.diag(self.S) + self.lam1 * self.Dhat + self.lam2 * self.M.T
 
     def apply_A(self, U: np.ndarray) -> np.ndarray:
-        if self.mode == "dense":
-            return self.dense_A() @ U
+        if self._fast_A is None:
+            raise AssemblyError("no factored applies in an OperatorSet from assemble_dense")
         return self._fast_A(U)
 
     def apply_B(self, Z: np.ndarray) -> np.ndarray:
-        if self.mode == "dense":
-            return self.dense_B() @ Z
+        if self._fast_B is None:
+            raise AssemblyError("no factored applies in an OperatorSet from assemble_dense")
         return self._fast_B(Z)
 
 
 def assemble_dense(N: int, pair: ExponentPair, lam1: float, lam2: float) -> OperatorSet:
-    """Exact quadrature assembly of S, M, D, Dhat (and W for inspection)."""
+    """Exact quadrature assembly of S, M, D, Dhat."""
     if N < 1:
         raise AssemblyError("truncation must be >= 1")
     a = pair.alpha
@@ -172,15 +157,13 @@ def assemble_dense(N: int, pair: ExponentPair, lam1: float, lam2: float) -> Oper
     rule_d = gauss_jacobi_rule(N + 3, JacobiParams(a - 1, a - 1))
     Eu2 = jacobi_matrix(N, JacobiParams(g, b), rule_d.nodes)
     Et2 = jacobi_matrix(N + 1, JacobiParams(b - 1, g - 1), rule_d.nodes)
-    W = (Et2 * rule_d.weights) @ Eu2.T
-    D = -(nn[:, None] + 1) * W[1:]
+    D = -(nn[:, None] + 1) * ((Et2 * rule_d.weights) @ Eu2.T)[1:]
     Ev2 = jacobi_matrix(N, JacobiParams(b, g), rule_d.nodes)
     Eth2 = jacobi_matrix(N + 1, JacobiParams(g - 1, b - 1), rule_d.nodes)
     Dhat = -(nn[:, None] + 1) * ((Eth2[1:] * rule_d.weights) @ Ev2.T)
     return OperatorSet(
-        N=N, pair=pair, lam1=lam1, lam2=lam2, S=S, mode="dense",
-        M=M, D=D, Dhat=Dhat, W=W,
-        Q_diag=jacobi_norm_sq(nn, JacobiParams(a, a)),
+        N=N, pair=pair, lam1=lam1, lam2=lam2, S=S,
+        Q_diag=jacobi_norm_sq(nn, JacobiParams(a, a)), M=M, D=D, Dhat=Dhat,
     )
 
 
@@ -194,22 +177,10 @@ def assemble_fast(N: int, pair: ExponentPair, lam1: float, lam2: float,
     fa = FastOperatorApply(N, pair, g, b, +1.0, lam1, lam2, cache)
     fb = FastOperatorApply(N, pair, b, g, -1.0, lam1, lam2, cache)
     return OperatorSet(
-        N=N, pair=pair, lam1=lam1, lam2=lam2, S=fa.S, mode="fast",
+        N=N, pair=pair, lam1=lam1, lam2=lam2, S=fa.S,
         Q_diag=jacobi_norm_sq(np.arange(N + 1), JacobiParams(pair.alpha, pair.alpha)),
         _fast_A=fa, _fast_B=fb,
     )
-
-
-def fast_apply_A(ops: OperatorSet, U: np.ndarray) -> np.ndarray:
-    if ops._fast_A is None:
-        raise AssemblyError("OperatorSet has no fast transforms (dense mode)")
-    return ops._fast_A(np.asarray(U, dtype=float))
-
-
-def fast_apply_B(ops: OperatorSet, Z: np.ndarray) -> np.ndarray:
-    if ops._fast_B is None:
-        raise AssemblyError("OperatorSet has no fast transforms (dense mode)")
-    return ops._fast_B(np.asarray(Z, dtype=float))
 
 
 def advection_offdiagonals(N: int, pair: ExponentPair, adjoint: bool = False):
@@ -224,25 +195,20 @@ def advection_offdiagonals(N: int, pair: ExponentPair, adjoint: bool = False):
     rule = gauss_jacobi_rule(N + 3, JacobiParams(a - 1, a - 1))
     t = 2.0 * rule.nodes - 1.0
     w = rule.weights
-    npts = rule.npts
-    a1, b1 = g, b            # trial Q^{g,b}
-    a2, b2 = b - 1, g - 1    # test Q^{b-1,g-1}
-    P1 = [np.ones(npts), 0.5 * ((a1 + b1 + 2) * t + (a1 - b1))]
-    P2 = [np.ones(npts), 0.5 * ((a2 + b2 + 2) * t + (a2 - b2))]
+    trial = jacobi_rows(JacobiParams(g, b), t)
+    test = jacobi_rows(JacobiParams(b - 1, g - 1), t)
+    u0, u1 = next(trial), next(trial)  # trial Q_n, Q_{n+1}
+    next(test)
+    v1 = next(test)                    # test Q_{n+1}
     up = np.empty(N + 1)
     lo = np.empty(N + 1)
-    for d in range(2, N + 3):
-        P1.append(_recurrence_step(d, a1, b1, t, P1[-1], P1[-2]))
-        P2.append(_recurrence_step(d, a2, b2, t, P2[-1], P2[-2]))
-        if len(P1) > 3:
-            P1.pop(0)
-            P2.pop(0)
-        n = d - 2
-        if n <= N:
-            # D[n, n+1] = -(n+1) * int w Q_{n+1}^{trial} Q_{n+1}^{test}
-            # D[n+1, n] = -(n+2) * int w Q_n^{trial} Q_{n+2}^{test}
-            up[n] = -(n + 1) * np.dot(w, P1[1] * P2[1])
-            lo[n] = -(n + 2) * np.dot(w, P1[0] * P2[2])
+    for n in range(N + 1):
+        v2 = next(test)
+        # D[n, n+1] = -(n+1) * int w Q_{n+1}^{trial} Q_{n+1}^{test}
+        # D[n+1, n] = -(n+2) * int w Q_n^{trial} Q_{n+2}^{test}
+        up[n] = -(n + 1) * np.dot(w, u1 * v1)
+        lo[n] = -(n + 2) * np.dot(w, u0 * v2)
+        u0, u1, v1 = u1, next(trial), v2
     return up, lo
 
 
@@ -273,13 +239,8 @@ def build_preconditioners(ops: OperatorSet) -> tuple[BandedPreconditioner, Bande
     out = []
     for adjoint, sign in ((False, -1.0), (True, +1.0)):
         if ops.lam1 != 0.0:
-            if ops.mode == "dense":
-                Dm = ops.Dhat if adjoint else ops.D
-                up = np.diag(Dm, 1)
-                lo = np.diag(Dm, -1)
-            else:
-                u, l = advection_offdiagonals(N, ops.pair, adjoint=adjoint)
-                up, lo = u[:-1], l[:-1]
+            u, l = advection_offdiagonals(N, ops.pair, adjoint=adjoint)
+            up, lo = u[:-1], l[:-1]
         else:
             up = np.zeros(N)
             lo = np.zeros(N)
@@ -355,24 +316,3 @@ class RhsAssembler:
 
     def rhs_G(self, U: np.ndarray) -> np.ndarray:
         return self.gram_u(U) - self.G_data
-
-
-def assemble_rhs_F(f: SpectralFunction | None, qN, pair: ExponentPair, N: int,
-                   gamma: float = 1.0) -> np.ndarray:
-    """One-shot F assembly; qN is a ControlFunction or None (q = 0)."""
-    asm = RhsAssembler(N, pair, f, None)
-    if qN is None:
-        return asm.rhs_F(0.0, np.zeros(N + 1), gamma)
-    z = np.zeros(N + 1)
-    zc = qN.z_part.coeffs
-    z[: len(zc)] = zc
-    return asm.rhs_F(qN.constant_part, z, qN.gamma)
-
-
-def assemble_rhs_G(uN: SpectralFunction, u_d: SpectralFunction | None,
-                   pair: ExponentPair, N: int) -> np.ndarray:
-    """One-shot G assembly from the current state iterate and target."""
-    asm = RhsAssembler(N, pair, None, u_d)
-    U = np.zeros(N + 1)
-    U[: len(uN.coeffs)] = uN.coeffs
-    return asm.rhs_G(U)

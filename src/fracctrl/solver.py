@@ -4,10 +4,11 @@ Outer loop (per iteration): solve the state system, solve the adjoint
 system, update the control by the pointwise projection
 q_new = max{0, zbar}/gamma - z/gamma, and stop when the relative sup-norm
 change of the control representation falls below the outer tolerance.
-Inner linear solves are dense factorizations in direct mode or banded-
-preconditioned fixed-point iterations in fast mode, warm-started from the
-previous outer iterate.  A small-N dense bootstrap supplies the initial
-guess.
+The loop sees the two linear systems only as a pair of solve callables,
+made by one of the LINEAR_SOLVES builders: dense factorizations
+("direct") or banded-preconditioned fixed-point iterations warm-started
+from the previous outer iterate ("fast").  A small-N direct bootstrap
+supplies the initial guess.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class ProblemSpec:
 @dataclass
 class SolverConfig:
     N: int = 64
-    mode: str = "fast"  # "direct" | "fast"
+    mode: str = "fast"  # a key of LINEAR_SOLVES
     inner_tol: float = 1e-14
     inner_max: int = 400
     outer_tol: float = 1e-12
@@ -65,7 +66,7 @@ class SolverConfig:
     def __post_init__(self):
         if min(self.inner_tol, self.outer_tol) <= 0:
             raise ValueError("tolerances must be positive")
-        if self.mode not in ("direct", "fast"):
+        if self.mode not in LINEAR_SOLVES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.bootstrap_N > self.N:
             self.bootstrap_N = self.N
@@ -184,51 +185,67 @@ def project_control(Z: np.ndarray, gamma: float, pair: ExponentPair) -> ControlF
     return ControlFunction(constant_part=c, z_part=z_part, gamma=gamma)
 
 
-def _outer_loop(ops: OperatorSet, asm: RhsAssembler, gamma: float,
-                config: SolverConfig, tol: float, max_iter: int,
-                precond=None, U0=None, Z0=None, q0=None, stats: SolveStats | None = None):
-    """Run the projected-gradient outer loop on an assembled system."""
-    N = ops.N
+def direct_linear_solves(N: int, pair: ExponentPair, spec: ProblemSpec,
+                         config: SolverConfig, cache: ConversionCache):
+    """(state_solve, adjoint_solve) by dense factorization of the oracle
+    matrices; each maps (rhs, x0) to (x, iterations, converged)."""
+    ops = assemble_dense(N, pair, spec.lambda1, spec.lambda2)
+    return (lambda F, x0: (direct_solve_state(ops, F), 0, True),
+            lambda G, x0: (direct_solve_adjoint(ops, G), 0, True))
+
+
+def fast_linear_solves(N: int, pair: ExponentPair, spec: ProblemSpec,
+                       config: SolverConfig, cache: ConversionCache):
+    """(state_solve, adjoint_solve) by preconditioned fixed-point iteration
+    on the factored applies, warm-started from x0."""
+    ops = assemble_fast(N, pair, spec.lambda1, spec.lambda2, cache)
+    P, Phat = build_preconditioners(ops)
+    return (lambda F, x0: fixed_point_solve(ops.apply_A, P, F, config, x0=x0),
+            lambda G, x0: fixed_point_solve(ops.apply_B, Phat, G, config, x0=x0))
+
+
+LINEAR_SOLVES = {"direct": direct_linear_solves, "fast": fast_linear_solves}
+
+
+def _outer_loop(solves, asm: RhsAssembler, gamma: float, tol: float, max_iter: int,
+                U0=None, Z0=None, stats: SolveStats | None = None):
+    """Run the projected-gradient outer loop with a (state_solve,
+    adjoint_solve) pair from a LINEAR_SOLVES builder."""
+    state_solve, adjoint_solve = solves
+    N = asm.N
     c = 0.0
     Zq = np.zeros(N + 1)
-    if q0 is not None:
-        c = q0[0]
-        Zq[: len(q0) - 1] = q0[1:] * gamma
     qvec = np.concatenate([[c], Zq / gamma])
     U = np.zeros(N + 1) if U0 is None else U0
     Z = np.zeros(N + 1) if Z0 is None else Z0
-    P, Phat = precond if precond is not None else (None, None)
-    fast = ops.mode == "fast"
     for it in range(1, max_iter + 1):
         F = asm.rhs_F(c, Zq, gamma)
-        if fast:
-            U, iu, cu = fixed_point_solve(ops.apply_A, P, F, config, x0=U)
-        else:
-            U, iu, cu = direct_solve_state(ops, F), 0, True
+        U, iu, cu = state_solve(F, U)
         G = asm.rhs_G(U)
-        if fast:
-            Z, iz, cz = fixed_point_solve(ops.apply_B, Phat, G, config, x0=Z)
-        else:
-            Z, iz, cz = direct_solve_adjoint(ops, G), 0, True
+        Z, iz, cz = adjoint_solve(G, Z)
         c_new = max(0.0, Z[0] * asm.h0_zframe) / gamma
         qnew = np.concatenate([[c_new], Z / gamma])
         scale = np.max(np.abs(qvec))
         err = np.max(np.abs(qnew - qvec)) / (scale if scale > 0 else 1.0)
+        if not np.isfinite(err):
+            raise SolverError(f"outer loop at N={N} diverged: relative control change "
+                              f"is {err} at iteration {it}")
         qvec, c, Zq = qnew, c_new, Z.copy()
         if stats is not None:
             stats.inner_iterations.append((iu, iz))
             stats.residual_history.append(err)
             stats.inner_converged = stats.inner_converged and cu and cz
         if err <= tol:
-            return U, Z, c, it
+            return U, Z, it
     raise SolverError(f"outer loop failed to converge in {max_iter} iterations "
                       f"(last relative change {err:.3e})")
 
 
 def optimize(spec: ProblemSpec, config: SolverConfig,
              cache: ConversionCache | None = None) -> OptimalTriple:
-    """Full solve: dense bootstrap at bootstrap_N, then the outer loop at N
-    in the configured mode, warm-started from the zero-padded bootstrap."""
+    """Full solve: direct bootstrap at bootstrap_N, then the outer loop at N
+    with the configured mode's linear solves, warm-started from the
+    zero-padded bootstrap."""
     t0 = time.perf_counter()
     pair = spec.exponent_pair()
     cache = cache or ConversionCache()
@@ -236,34 +253,23 @@ def optimize(spec: ProblemSpec, config: SolverConfig,
     N = config.N
     g, b = pair.sigma, pair.sigma_star
 
-    q0 = U0 = Z0 = None
+    U0 = Z0 = None
     if config.bootstrap_N < N:
         Nb = config.bootstrap_N
-        ops_b = assemble_dense(Nb, pair, spec.lambda1, spec.lambda2)
+        solves_b = direct_linear_solves(Nb, pair, spec, config, cache)
         asm_b = RhsAssembler(Nb, pair, spec.f, spec.u_d, cache)
-        Ub, Zb, cb, _ = _outer_loop(
-            ops_b, asm_b, spec.gamma, config,
-            tol=max(1e-10, config.outer_tol), max_iter=config.outer_max,
-        )
+        Ub, Zb, _ = _outer_loop(solves_b, asm_b, spec.gamma,
+                                tol=max(1e-10, config.outer_tol), max_iter=config.outer_max)
         # The bootstrap warm-starts the inner (linear) solves only; the
         # outer control iteration restarts from q = 0 so its count is the
         # mesh-independent cold-start figure.
         U0, Z0 = np.zeros(N + 1), np.zeros(N + 1)
         U0[: Nb + 1], Z0[: Nb + 1] = Ub, Zb
-        del cb
 
-    if config.mode == "direct":
-        ops = assemble_dense(N, pair, spec.lambda1, spec.lambda2)
-        precond = None
-    else:
-        ops = assemble_fast(N, pair, spec.lambda1, spec.lambda2, cache)
-        precond = build_preconditioners(ops)
+    solves = LINEAR_SOLVES[config.mode](N, pair, spec, config, cache)
     asm = RhsAssembler(N, pair, spec.f, spec.u_d, cache)
-    U, Z, c, iters = _outer_loop(
-        ops, asm, spec.gamma, config, tol=config.outer_tol,
-        max_iter=config.outer_max, precond=precond, U0=U0, Z0=Z0, q0=q0,
-        stats=stats,
-    )
+    U, Z, iters = _outer_loop(solves, asm, spec.gamma, tol=config.outer_tol,
+                              max_iter=config.outer_max, U0=U0, Z0=Z0, stats=stats)
     stats.outer_iterations = iters
     stats.wall_time = time.perf_counter() - t0
     u_fun = SpectralFunction((g, b), JacobiParams(g, b), U)

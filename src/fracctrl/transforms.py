@@ -267,9 +267,8 @@ def jacobi_to_jacobi(f: SpectralFunction, target: JacobiParams,
 def chebyshev_expand(g, M: int = 64) -> SpectralFunction:
     """Expand a smooth scalar callable on [0,1] in Q_n^{-1/2,-1/2}.
 
-    Samples at M+1 Gauss-Lobatto points and inverts by a type-1 DCT, then
-    rescales from the Chebyshev normalization T_n to the Jacobi one
-    (Q_n^{-1/2,-1/2}(1) = Gamma(n+1/2) / (Gamma(1/2) n!)).
+    Samples at M+1 Gauss-Lobatto points, inverts by a type-1 DCT and
+    rescales with chebyshev_to_jacobi.
     """
     if M < 1:
         raise TransformError("truncation must be >= 1")
@@ -279,6 +278,13 @@ def chebyshev_expand(g, M: int = 64) -> SpectralFunction:
     c = dct(vals, type=1) / M
     c[0] /= 2.0
     c[-1] /= 2.0
-    n = np.arange(M + 1, dtype=float)
+    return chebyshev_to_jacobi(c)
+
+
+def chebyshev_to_jacobi(c: np.ndarray) -> SpectralFunction:
+    """The series sum_n c[n] T_n(2x-1) as a Q^{-1/2,-1/2} series: rescale
+    from the Chebyshev normalization T_n to the Jacobi one
+    (Q_n^{-1/2,-1/2}(1) = Gamma(n+1/2) / (Gamma(1/2) n!))."""
+    n = np.arange(len(c), dtype=float)
     q_at_one = np.exp(gammaln(n + 0.5) - gammaln(0.5) - gammaln(n + 1))
     return SpectralFunction((0.0, 0.0), JacobiParams(-0.5, -0.5), c / q_at_one)

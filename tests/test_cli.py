@@ -7,11 +7,13 @@ import os
 import numpy as np
 import pytest
 
+from fracctrl.analysis import _spec_digest, cache_path, reference_solve
 from fracctrl.cli import (
     CSV_COLUMNS,
     ConfigError,
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_SOLVER,
     RunConfig,
     build_solver_config,
     build_spec,
@@ -19,6 +21,7 @@ from fracctrl.cli import (
     main,
     render_report,
 )
+from fracctrl.solver import SolverConfig
 
 
 @pytest.fixture(autouse=True)
@@ -53,6 +56,9 @@ class TestConfig:
     def test_unknown_key_reports_location(self, tmp_path):
         path = write_config(tmp_path, {"problem": {"alpha": 1.4, "alpha_star": 2}})
         with pytest.raises(ConfigError, match=r"problem\.alpha_star.*line \d+, column \d+"):
+            load_config(path)
+        path = write_config(tmp_path, {"output": {"format": "csv", "verbosity": 2}})
+        with pytest.raises(ConfigError, match=r"output\.verbosity at line 4, column 3"):
             load_config(path)
 
     def test_unknown_top_level_key(self, tmp_path):
@@ -92,6 +98,9 @@ class TestConfig:
         cfg = RunConfig(problem={"f": {"chebyshev_file": str(path)}})
         spec = build_spec(cfg)
         assert len(spec.f.coeffs) == 3
+        # 1 + 0.5 T_1(2x-1) + 0.25 T_2(2x-1) at x = 0, 0.5, 1
+        assert np.allclose(spec.f.values(np.array([0.0, 0.5, 1.0])), [0.75, 0.75, 1.75],
+                           rtol=0, atol=1e-14)
 
     def test_build_solver_config(self):
         cfg = build_solver_config(RunConfig(solver={"N": 128, "mode": "direct"}))
@@ -169,7 +178,6 @@ class TestStudyCommand:
 
     def test_json_and_md_render(self, tmp_path):
         from fracctrl.analysis import convergence_study
-        from fracctrl.solver import SolverConfig
         cfg = RunConfig(problem={"alpha": 1.8, "theta": 0.7})
         spec = build_spec(cfg)
         report = convergence_study(spec, [8, 16], 64,
@@ -208,3 +216,14 @@ class TestCacheCommand:
         assert "removed 1" in capsys.readouterr().out
         cache_dir = os.environ["FRACCTRL_CACHE_DIR"]
         assert not [f for f in os.listdir(cache_dir) if f.endswith(".npz")]
+
+    def test_verify_reports_corrupt(self, capsys):
+        spec = build_spec(RunConfig(problem={"alpha": 1.8, "theta": 0.7}))
+        cfg = SolverConfig(N=16, mode="direct")
+        path = cache_path(_spec_digest(spec, 16, cfg))
+        reference_solve(spec, 16, cfg)
+        with open(path, "r+b") as fh:
+            fh.seek(os.path.getsize(path) - 16)
+            fh.write(b"\xde\xad\xbe\xef" * 4)
+        assert main(["cache", "verify"]) == EXIT_SOLVER
+        assert "CORRUPT" in capsys.readouterr().out

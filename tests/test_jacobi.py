@@ -1,5 +1,5 @@
-"""Tests for the shifted Jacobi core: evaluation, norms, quadrature,
-derivative reindexing."""
+"""Tests for the shifted Jacobi core: evaluation, norms, quadrature and
+the derivative identities behind the advection assembly."""
 
 import mpmath
 import numpy as np
@@ -7,15 +7,12 @@ import pytest
 from scipy.special import betaln, gammaln
 
 from fracctrl.jacobi import (
-    DerivativeReindex,
     JacobiParamError,
     JacobiParams,
-    derivative_reindex,
     eval_jacobi,
     gauss_jacobi_rule,
     jacobi_matrix,
     jacobi_norm_sq,
-    jacobi_series,
     log_gamma_ratio,
 )
 
@@ -70,14 +67,6 @@ class TestEval:
             JacobiParams(-1.0, 0.0)
         with pytest.raises(JacobiParamError):
             JacobiParams(0.0, -1.3)
-
-    def test_series_streaming_matches_matrix(self):
-        rng = np.random.default_rng(0)
-        p = JacobiParams(0.7, -0.3)
-        c = rng.standard_normal(40)
-        x = rng.uniform(0, 1, 25)
-        dense = c @ jacobi_matrix(39, p, x)
-        assert np.allclose(jacobi_series(c, p, x), dense, rtol=1e-12, atol=1e-12)
 
 
 class TestNorm:
@@ -145,43 +134,25 @@ class TestQuadrature:
 
 
 class TestDerivative:
-    def test_identity_k0(self):
-        r = derivative_reindex(3, 0, JacobiParams(0.2, 0.7))
-        assert r.plain_scale == pytest.approx(1.0)
-        assert r.weighted_scale == pytest.approx(1.0)
-        assert r.degree == 3
-        assert r.params == JacobiParams(0.2, 0.7)
-
-    def test_k_exceeds_n_flagged_zero(self):
-        r = derivative_reindex(2, 5, JacobiParams(0.2, 0.7))
-        assert r.is_zero
-        assert r.plain_scale == 0.0
-
-    def test_weighted_factor_k1(self):
-        # (-1)^1 * n!/(n-1)! = -n
-        r = derivative_reindex(4, 1, JacobiParams(0.8, 0.8))
-        assert r.weighted_scale == pytest.approx(-4.0, rel=1e-14)
-
     def test_plain_derivative_finite_difference(self):
-        # D Q_n^{g,b} = scale * Q_{n-1}^{g+1,b+1}
+        # D Q_n^{g,b} = (n+g+b+1) * Q_{n-1}^{g+1,b+1}
         g, b = 0.44, 0.8
         p = JacobiParams(g, b)
         x = np.linspace(0.1, 0.9, 20)
         h = 1e-6
         for n in (1, 3, 6):
-            r = derivative_reindex(n, 1, p)
             fd = (eval_jacobi(n, p, x + h) - eval_jacobi(n, p, x - h)) / (2 * h)
-            exact = r.plain_scale * eval_jacobi(r.degree, r.params, x)
+            exact = (n + g + b + 1) * eval_jacobi(n - 1, JacobiParams(g + 1, b + 1), x)
             assert np.max(np.abs(fd - exact)) < 1e-6 * max(1.0, np.max(np.abs(exact)))
 
     def test_weighted_derivative_finite_difference(self):
-        # D[w^{g+1,b+1} Q_{n-1}^{g+1,b+1}] = weighted_scale * w^{g,b} Q_n^{g,b}
+        # D[w^{g+1,b+1} Q_{n-1}^{g+1,b+1}] = -n * w^{g,b} Q_n^{g,b}, the
+        # identity that puts the advection matrices D, Dhat in row-shifted form
         g, b = 0.44, 0.8
         p = JacobiParams(g, b)
         x = np.linspace(0.1, 0.9, 20)
         h = 1e-6
         for n in (2, 4, 7):
-            r = derivative_reindex(n, 1, p)
 
             def lhs(xx):
                 return (1 - xx) ** (g + 1) * xx ** (b + 1) * eval_jacobi(
@@ -189,7 +160,7 @@ class TestDerivative:
                 )
 
             fd = (lhs(x + h) - lhs(x - h)) / (2 * h)
-            exact = r.weighted_scale * (1 - x) ** g * x**b * eval_jacobi(n, p, x)
+            exact = -n * (1 - x) ** g * x**b * eval_jacobi(n, p, x)
             assert np.max(np.abs(fd - exact)) < 1e-7 * max(1.0, np.max(np.abs(exact)))
 
 

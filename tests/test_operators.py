@@ -18,11 +18,7 @@ from fracctrl.operators import (
     advection_offdiagonals,
     assemble_dense,
     assemble_fast,
-    assemble_rhs_F,
-    assemble_rhs_G,
     build_preconditioners,
-    fast_apply_A,
-    fast_apply_B,
     stiffness_diagonal,
 )
 from fracctrl.solver import project_control
@@ -68,13 +64,6 @@ class TestDenseAssembly:
         ops = assemble_dense(24, pair, 1.0, 1.0)
         assert np.allclose(ops.Dhat, ops.D, rtol=0, atol=1e-12 * np.abs(ops.D).max())
 
-    def test_advection_row_slicing(self):
-        # D equals Lambda times W with its first row removed
-        pair = solve_sigma(0.7, 1.4)
-        ops = assemble_dense(20, pair, 1.0, 1.0)
-        rebuilt = ops.Lambda[:, None] * ops.W[1:]
-        assert np.allclose(ops.D, rebuilt, rtol=0, atol=1e-13)
-
     def test_adjoint_consistency_without_advection(self):
         # with lambda1 = 0, B equals A assembled under the sigma swap
         pair = solve_sigma(0.7, 1.8)
@@ -118,14 +107,14 @@ class TestFastApply:
         rng = np.random.default_rng(N)
         for _ in range(20):
             v = rng.standard_normal(N + 1)
-            assert rel_err(fast_apply_A(fast, v), A @ v) < 1e-10
-            assert rel_err(fast_apply_B(fast, v), B @ v) < 1e-10
+            assert rel_err(fast.apply_A(v), A @ v) < 1e-10
+            assert rel_err(fast.apply_B(v), B @ v) < 1e-10
 
     def test_zero_vector(self):
         pair = solve_sigma(0.7, 1.4)
         fast = assemble_fast(16, pair, 1.0, 1.0)
-        assert np.all(fast_apply_A(fast, np.zeros(17)) == 0)
-        assert np.all(fast_apply_B(fast, np.zeros(17)) == 0)
+        assert np.all(fast.apply_A(np.zeros(17)) == 0)
+        assert np.all(fast.apply_B(np.zeros(17)) == 0)
 
     def test_diagonal_action_unit_vector(self):
         pair = solve_sigma(0.7, 1.4)
@@ -133,7 +122,7 @@ class TestFastApply:
         for k in (0, 5, 16):
             e = np.zeros(17)
             e[k] = 1.0
-            out = fast_apply_A(fast, e)
+            out = fast.apply_A(e)
             assert out[k] == pytest.approx(fast.S[k], rel=1e-14)
             out[k] = 0.0
             assert np.all(out == 0)
@@ -154,9 +143,16 @@ class TestFastApply:
                     assert np.max(np.abs(U - e)) < 1e-12
 
     def test_dense_mode_has_no_fast_transforms(self):
-        ops = assemble_dense(8, solve_sigma(0.5, 1.5), 1.0, 1.0)
-        with pytest.raises(AssemblyError):
-            fast_apply_A(ops, np.zeros(9))
+        # each set holds only its own form: factored applies or oracle matrices
+        pair = solve_sigma(0.5, 1.5)
+        ops = assemble_dense(8, pair, 1.0, 1.0)
+        for apply in (ops.apply_A, ops.apply_B):
+            with pytest.raises(AssemblyError):
+                apply(np.zeros(9))
+        fast = assemble_fast(8, pair, 1.0, 1.0)
+        for build in (fast.dense_A, fast.dense_B):
+            with pytest.raises(AssemblyError):
+                build()
 
 
 class TestPreconditioner:
@@ -204,10 +200,15 @@ def quadrature_rhs_oracle(fun_vals_weighted, test, N, weight, npts=800):
     return (Et * rule.weights) @ fun_vals_weighted(rule.nodes)
 
 
+def data_rhs_F(f, pair, N):
+    """F for data f and the zero control."""
+    return RhsAssembler(N, pair, f, None).rhs_F(0.0, np.zeros(N + 1), 1.0)
+
+
 class TestRhs:
     def test_zero_data_zero_control(self):
         pair = solve_sigma(0.7, 1.4)
-        assert np.all(assemble_rhs_F(None, None, pair, 12) == 0)
+        assert np.all(data_rhs_F(None, pair, 12) == 0)
 
     def test_constant_control_only(self):
         pair = solve_sigma(0.7, 1.4)
@@ -215,8 +216,8 @@ class TestRhs:
         h0 = float(jacobi_norm_sq(0, JacobiParams(b, g)))
         q = project_control(np.array([2.0] + [0.0] * 12), 1.0, pair)
         # q = c - z/gamma with z = 2 w Q_0; both parts enter F
-        F = assemble_rhs_F(None, q, pair, 12)
         asm = RhsAssembler(12, pair, None, None)
+        F = asm.rhs_F(q.constant_part, q.z_part.coeffs, q.gamma)
         expected = -asm.gram_z(np.array([2.0] + [0.0] * 12))
         expected[0] += q.constant_part * h0
         assert np.allclose(F, expected, rtol=1e-13)
@@ -229,7 +230,7 @@ class TestRhs:
         pair = solve_sigma(0.7, 1.4)
         N = 16
         f = chebyshev_expand(np.sin, M=64)
-        F = assemble_rhs_F(f, None, pair, N)
+        F = data_rhs_F(f, pair, N)
         oracle = quadrature_rhs_oracle(
             lambda x: np.sin(x),
             JacobiParams(pair.sigma_star, pair.sigma),
@@ -245,7 +246,7 @@ class TestRhs:
         N = 16
         cheb = chebyshev_expand(np.sin, M=64)
         f = SpectralFunction((beta, beta), cheb.poly_params, cheb.coeffs)
-        F = assemble_rhs_F(f, None, pair, N)
+        F = data_rhs_F(f, pair, N)
         oracle = quadrature_rhs_oracle(
             lambda x: np.sin(x),
             JacobiParams(pair.sigma_star, pair.sigma),
@@ -259,15 +260,16 @@ class TestRhs:
         g, b = pair.sigma, pair.sigma_star
         coeffs = np.array([0.3, -1.2, 0.05, 0.0, 0.7])
         u = SpectralFunction((g, b), JacobiParams(g, b), coeffs)
-        G = assemble_rhs_G(u, u, pair, 8)
+        G = RhsAssembler(8, pair, None, u).rhs_G(u.padded(8).coeffs)
         assert np.max(np.abs(G)) < 1e-13
 
     def test_g_single_mode_against_oracle(self):
         pair = solve_sigma(0.7, 1.4)
         g, b = pair.sigma, pair.sigma_star
         N = 10
-        u = SpectralFunction((g, b), JacobiParams(g, b), np.array([1.0]))
-        G = assemble_rhs_G(u, None, pair, N)
+        U = np.zeros(N + 1)
+        U[0] = 1.0
+        G = RhsAssembler(N, pair, None, None).rhs_G(U)
         oracle = quadrature_rhs_oracle(
             lambda x: np.ones_like(x), JacobiParams(g, b), N, (2 * g, 2 * b)
         )

@@ -188,6 +188,16 @@ class TestOptimize:
         ]
         assert abs(counts[0] - counts[1]) <= 2
 
+    @pytest.mark.parametrize("mode", ["direct", "fast"])
+    def test_nonfinite_control_change_fails_fast(self, mode):
+        # alpha near 1 with small gamma: the N=8 bootstrap overflows to NaN
+        # within a few hundred iterations; the loop stops there instead of
+        # running all of outer_max
+        spec = example1_spec(alpha=1.05, theta=0.7, gamma=0.1)
+        with pytest.raises(SolverError, match=r"control change is nan at iteration") as exc:
+            optimize(spec, SolverConfig(N=64, mode=mode))
+        assert int(str(exc.value).rsplit(" ", 1)[1]) < 1000
+
     def test_diagnostic_mode_lambda1_zero(self):
         # lambda1 = 0 (no advection) is accepted for manufactured tests
         spec = ProblemSpec(alpha=1.5, theta=0.5, lambda1=0.0, lambda2=0.0,
