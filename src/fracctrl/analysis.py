@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import betaln
 
-from .jacobi import JacobiParams, gauss_jacobi_rule, jacobi_matrix, jacobi_norm_sq
+from .jacobi import JacobiParams, jacobi_norm_sq
 from .solver import (
     ControlFunction,
     OptimalTriple,
@@ -22,7 +22,7 @@ from .solver import (
     SolverConfig,
     optimize,
 )
-from .transforms import ConversionCache, SpectralFunction
+from .transforms import ConversionCache, SpectralFunction, jacobi_to_jacobi
 
 CACHE_MAGIC = "FRACCTRL-REF"
 CACHE_VERSION = 1
@@ -38,30 +38,21 @@ def _pad(c: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _weighted_poly_norm_sq(coeffs: np.ndarray, params: JacobiParams,
-                           weight: tuple[float, float]) -> float:
-    """Integral of w^{weight} * (sum coeffs Q_n^{params})^2 by quadrature."""
-    wa, wb = weight
-    if wa <= -1.0 or wb <= -1.0:
-        return float("nan")
-    rule = gauss_jacobi_rule(len(coeffs) + 1, JacobiParams(wa, wb))
-    vals = coeffs @ jacobi_matrix(len(coeffs) - 1, params, rule.nodes)
-    return rule.integrate(vals**2)
-
-
-def _weighted_poly_integral(coeffs: np.ndarray, params: JacobiParams,
-                            weight: tuple[float, float]) -> float:
-    """Integral of w^{weight} * (sum coeffs Q_n^{params}) by quadrature."""
-    wa, wb = weight
-    if wa <= -1.0 or wb <= -1.0:
-        return float("nan")
-    rule = gauss_jacobi_rule(len(coeffs) // 2 + 2, JacobiParams(wa, wb))
-    vals = coeffs @ jacobi_matrix(len(coeffs) - 1, params, rule.nodes)
-    return rule.integrate(vals)
+def _moments(coeffs: np.ndarray, params: JacobiParams,
+             weight: tuple[float, float], cache: ConversionCache):
+    """(int w^{weight} p, int w^{weight} p^2) for p = sum coeffs Q_n^{params},
+    read off by orthogonality (e_0 h_0 and sum e^2 h) after re-expanding p
+    as sum e_n Q_n^{weight}; NaN when w^{weight} is not integrable."""
+    if min(weight) <= -1.0:
+        return float("nan"), float("nan")
+    W = JacobiParams(*weight)
+    e = jacobi_to_jacobi(SpectralFunction((0.0, 0.0), params, coeffs), W, cache).coeffs
+    h = jacobi_norm_sq(np.arange(len(e)), W)
+    return e[0] * h[0], np.dot(e**2, h)
 
 
 def _control_norm_sq(c: float, zc: np.ndarray, params: JacobiParams,
-                     gamma: float, a: float, b: float) -> float:
+                     gamma: float, a: float, b: float, cache: ConversionCache) -> float:
     """||c - w*p/gamma||^2 in the w^{a,b} norm, where w*p is the weighted
     series with exponents equal to the polynomial parameters.
 
@@ -72,19 +63,21 @@ def _control_norm_sq(c: float, zc: np.ndarray, params: JacobiParams,
     if a <= -1.0 or b <= -1.0:
         return float("nan")
     const_term = c * c * float(np.exp(betaln(a + 1.0, b + 1.0)))
-    cross = _weighted_poly_integral(zc, params, (a + wa, b + wb))
-    square = _weighted_poly_norm_sq(zc, params, (a + 2 * wa, b + 2 * wb))
-    return const_term - 2.0 * c / gamma * cross + square / gamma**2
+    cross = _moments(zc, params, (a + wa, b + wb), cache)[0]
+    square = _moments(zc, params, (a + 2 * wa, b + 2 * wb), cache)[1]
+    return float(const_term - 2.0 * c / gamma * cross + square / gamma**2)
 
 
-def weighted_error(p_N, p_ref, a: float, b: float, *, use_quadrature: bool = False) -> float:
+def weighted_error(p_N, p_ref, a: float, b: float) -> float:
     """Relative weighted L2 error ||p_N - p_ref||_{w^{a,b}} / ||p_ref||.
 
     Both arguments must be SpectralFunctions in the same basis, or both
-    ControlFunctions.  When (a, b) exactly cancels the functions' intrinsic
-    weight the coefficientwise (Parseval) formula is used; otherwise exact
-    Gauss-Jacobi quadrature of the squared difference.
+    ControlFunctions.  Each integral is read off by orthogonality after
+    re-expanding the polynomial in the basis orthogonal for its combined
+    weight; when (a, b) cancels the functions' intrinsic weight that basis
+    is their own and the formula is coefficientwise (Parseval).
     """
+    cache = ConversionCache()
     if isinstance(p_N, ControlFunction) and isinstance(p_ref, ControlFunction):
         z1, z2 = p_N.z_part, p_ref.z_part
         if z1.poly_params != z2.poly_params:
@@ -92,9 +85,9 @@ def weighted_error(p_N, p_ref, a: float, b: float, *, use_quadrature: bool = Fal
         n = max(len(z1.coeffs), len(z2.coeffs))
         dz = _pad(z2.coeffs, n) - _pad(z1.coeffs, n)
         dc = p_ref.constant_part - p_N.constant_part
-        num = _control_norm_sq(dc, dz, z1.poly_params, p_ref.gamma, a, b)
+        num = _control_norm_sq(dc, dz, z1.poly_params, p_ref.gamma, a, b, cache)
         den = _control_norm_sq(p_ref.constant_part, _pad(z2.coeffs, n),
-                               z2.poly_params, p_ref.gamma, a, b)
+                               z2.poly_params, p_ref.gamma, a, b, cache)
         if not np.isfinite(num) or not np.isfinite(den):
             return float("nan")
         return float(np.sqrt(max(num, 0.0) / den))
@@ -104,15 +97,10 @@ def weighted_error(p_N, p_ref, a: float, b: float, *, use_quadrature: bool = Fal
         raise AnalysisError("basis mismatch between candidate and reference")
     wa, wb = p_N.weight_exponents
     n = max(len(p_N.coeffs), len(p_ref.coeffs))
-    diff = _pad(p_ref.coeffs, n) - _pad(p_N.coeffs, n)
-    ref = _pad(p_ref.coeffs, n)
-    if a == -wa and b == -wb and not use_quadrature:
-        # Parseval: the combined weight is the orthogonality weight
-        h = jacobi_norm_sq(np.arange(n), p_N.poly_params)
-        return float(np.sqrt(np.dot(diff**2, h) / np.dot(ref**2, h)))
     combined = (a + 2 * wa, b + 2 * wb)
-    num = _weighted_poly_norm_sq(diff, p_N.poly_params, combined)
-    den = _weighted_poly_norm_sq(ref, p_ref.poly_params, combined)
+    diff = _pad(p_ref.coeffs, n) - _pad(p_N.coeffs, n)
+    num = _moments(diff, p_N.poly_params, combined, cache)[1]
+    den = _moments(_pad(p_ref.coeffs, n), p_ref.poly_params, combined, cache)[1]
     if not np.isfinite(num) or not np.isfinite(den):
         return float("nan")
     return float(np.sqrt(num / den))

@@ -108,9 +108,14 @@ def _build_factor(name, label: str) -> SpectralFunction | None:
     if isinstance(name, dict) and "chebyshev_file" in name:
         try:
             with open(name["chebyshev_file"]) as fh:
-                coeffs = np.asarray(json.load(fh), dtype=float)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+                data = json.load(fh)
+            # bool is an int subclass but not a JSON number
+            flat = isinstance(data, list) and all(type(v) in (int, float) for v in data)
+            coeffs = np.asarray(data if flat else [], dtype=float)
+        except (OSError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{label}: cannot load coefficients: {exc}") from exc
+        if coeffs.size == 0 or not np.all(np.isfinite(coeffs)):
+            raise ConfigError(f"{label}: expected a flat, non-empty list of finite numbers")
         return chebyshev_to_jacobi(coeffs)
     raise ConfigError(
         f"{label}: expected one of {sorted(registry)} or "

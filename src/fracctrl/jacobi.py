@@ -51,10 +51,6 @@ class QuadratureRule:
     def npts(self) -> int:
         return self.nodes.size
 
-    def integrate(self, values: np.ndarray) -> float:
-        """Integrate a function given by its values at the nodes."""
-        return float(np.dot(self.weights, values))
-
 
 def log_gamma_ratio(n: int | np.ndarray, alpha: float) -> float | np.ndarray:
     """Gamma(n+1+alpha) / Gamma(n+1), stable for n up to 2^14 and beyond."""
@@ -71,9 +67,12 @@ def jacobi_norm_sq(n: int | np.ndarray, p: JacobiParams) -> float | np.ndarray:
     """Squared weighted L2 norm h_n^{g,b} of Q_n^{g,b} on [0,1]."""
     g, b = p.gamma, p.beta
     n = np.asarray(n, dtype=float)
-    out = np.exp(
-        gammaln(n + b + 1) + gammaln(n + g + 1) - gammaln(n + 1) - gammaln(n + g + b + 1)
-    ) / (2 * n + g + b + 1)
+    with np.errstate(invalid="ignore"):
+        out = np.exp(
+            gammaln(n + b + 1) + gammaln(n + g + 1) - gammaln(n + 1) - gammaln(n + g + b + 1)
+        ) / (2 * n + g + b + 1)
+    if g + b + 1.0 <= 0.0:  # gammaln drops the sign of Gamma(g+b+1); h_0 = B(g+1, b+1)
+        out = np.where(n == 0, np.exp(betaln(g + 1.0, b + 1.0)), out)
     return float(out) if out.ndim == 0 else out
 
 

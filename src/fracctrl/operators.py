@@ -18,7 +18,7 @@ from scipy.linalg import solve_banded
 
 from .fracparams import ExponentPair, lambda_coeff
 from .jacobi import JacobiParams, gauss_jacobi_rule, jacobi_matrix, jacobi_norm_sq, jacobi_rows
-from .transforms import ConversionCache, SpectralFunction
+from .transforms import ConversionCache, SpectralFunction, jacobi_to_jacobi
 
 
 class AssemblyError(RuntimeError):
@@ -221,13 +221,6 @@ class BandedPreconditioner:
     def solve(self, r: np.ndarray) -> np.ndarray:
         return solve_banded((1, 1), self.bands, r)
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        sup, mid, sub = self.bands
-        out = mid * v
-        out[:-1] += sup[1:] * v[1:]
-        out[1:] += sub[:-1] * v[:-1]
-        return out
-
 
 def build_preconditioners(ops: OperatorSet) -> tuple[BandedPreconditioner, BandedPreconditioner]:
     """P = S - lam1*K + lam2*Q and Phat = S + lam1*Khat + lam2*Q, where
@@ -284,18 +277,23 @@ class RhsAssembler:
         self.Cu1 = cache.get(N, P(g, b), P(2 * g, b))
         self.Cu2 = cache.get(N, P(2 * g, b), P(2 * g, 2 * b))
         self.hu = jacobi_norm_sq(nn, P(2 * g, 2 * b))
-        self.F_data = self._project_data(f, P(b, g)) if f is not None else np.zeros(N + 1)
-        self.G_data = self._project_data(u_d, P(g, b)) if u_d is not None else np.zeros(N + 1)
+        self.F_data = self._project_data(f, P(b, g), cache) if f is not None else np.zeros(N + 1)
+        self.G_data = (self._project_data(u_d, P(g, b), cache) if u_d is not None
+                       else np.zeros(N + 1))
 
-    def _project_data(self, fun: SpectralFunction, test: JacobiParams) -> np.ndarray:
-        """(fun, Q_m^{test})_{w^{test}} by a rule exact for the combined
-        weight w^{test + fun.weight} against polynomial integrands."""
+    def _project_data(self, fun: SpectralFunction, test: JacobiParams,
+                      cache: ConversionCache) -> np.ndarray:
+        """(fun, Q_m^{test})_{w^{test}} = C_{test->T} (h^T * e) with T = test +
+        fun.weight and e the polynomial part in Q^T, orthogonal for w^T;
+        C_{test->T} is lower triangular, so only e[:N+1] enters."""
         wa, wb = fun.weight_exponents
-        combined = JacobiParams(test.gamma + wa, test.beta + wb)
-        npts = (self.N + fun.degree) // 2 + 3
-        rule = gauss_jacobi_rule(npts, combined)
-        Et = jacobi_matrix(self.N, test, rule.nodes)
-        return (Et * rule.weights) @ fun.poly_values(rule.nodes)
+        T = JacobiParams(test.gamma + wa, test.beta + wb)
+        e = jacobi_to_jacobi(fun, T, cache).coeffs[: self.N + 1]
+        v = np.zeros(self.N + 1)
+        v[: len(e)] = jacobi_norm_sq(np.arange(len(e)), T) * e
+        for C in reversed(list(cache.chain(self.N, test, T))):
+            v = C.apply(v)
+        return v
 
     def gram_z(self, Zq: np.ndarray) -> np.ndarray:
         """M2 @ Zq via the factored conversion route."""

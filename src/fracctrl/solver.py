@@ -213,24 +213,23 @@ def _outer_loop(solves, asm: RhsAssembler, gamma: float, tol: float, max_iter: i
     adjoint_solve) pair from a LINEAR_SOLVES builder."""
     state_solve, adjoint_solve = solves
     N = asm.N
-    c = 0.0
-    Zq = np.zeros(N + 1)
-    qvec = np.concatenate([[c], Zq / gamma])
+    q = project_control(np.zeros(N + 1), gamma, asm.pair)
+    qvec = q.rep_vector()
     U = np.zeros(N + 1) if U0 is None else U0
     Z = np.zeros(N + 1) if Z0 is None else Z0
     for it in range(1, max_iter + 1):
-        F = asm.rhs_F(c, Zq, gamma)
+        F = asm.rhs_F(q.constant_part, q.z_part.coeffs, gamma)
         U, iu, cu = state_solve(F, U)
         G = asm.rhs_G(U)
         Z, iz, cz = adjoint_solve(G, Z)
-        c_new = max(0.0, Z[0] * asm.h0_zframe) / gamma
-        qnew = np.concatenate([[c_new], Z / gamma])
+        q = project_control(Z, gamma, asm.pair)
+        qnew = q.rep_vector()
         scale = np.max(np.abs(qvec))
         err = np.max(np.abs(qnew - qvec)) / (scale if scale > 0 else 1.0)
         if not np.isfinite(err):
             raise SolverError(f"outer loop at N={N} diverged: relative control change "
                               f"is {err} at iteration {it}")
-        qvec, c, Zq = qnew, c_new, Z.copy()
+        qvec = qnew
         if stats is not None:
             stats.inner_iterations.append((iu, iz))
             stats.residual_history.append(err)

@@ -92,7 +92,7 @@ def _pivoted_cholesky_hankel(hfun, n: int, tol: float = 1e-15, rmax: int = 200) 
     (a Hausdorff moment sequence).  Columns are chosen by diagonal pivoting.
     """
     d = np.asarray(hfun(2.0 * np.arange(n)), dtype=float).copy()
-    scale = d.max()
+    scale = d.max(initial=0.0)
     idx = np.arange(n, dtype=float)
     cols: list[np.ndarray] = []
     pivots: list[int] = []
@@ -111,11 +111,11 @@ def _pivoted_cholesky_hankel(hfun, n: int, tol: float = 1e-15, rmax: int = 200) 
     return np.array(cols).T if cols else np.zeros((n, 0))
 
 
-def _closed_form_parts(k: int, g: float, s: float, b: float):
+def _closed_form_parts(k: int, g: float, s: float, b: float, head: int):
     """Pieces of the first-parameter change g -> s at fixed second param b:
-    C[n, m] = D1[n] * t[n-m] * h[n+m] * D2[m] for n >= m.
+    C[n, m] = D1[i] * t[i-j] * hfun(i+j) * D2[j], i = n-head >= j = m-head >= 0.
     """
-    n = np.arange(k + 1, dtype=float)
+    n = np.arange(head, k + 1, dtype=float)
     D1 = np.exp(gammaln(n + b + 1) - gammaln(n + g + b + 1))
     D2 = (2 * n + s + b + 1) * np.exp(gammaln(n + s + b + 1) - gammaln(n + b + 1))
     # Toeplitz symbol t_j = (g-s)_j / j!, by the Pochhammer recurrence so the
@@ -126,7 +126,7 @@ def _closed_form_parts(k: int, g: float, s: float, b: float):
         t[j] = t[j - 1] * (g - s + j - 1) / j
 
     def hfun(sv):
-        sv = np.asarray(sv, dtype=float)
+        sv = np.asarray(sv, dtype=float) + 2 * head
         return np.exp(gammaln(sv + g + b + 1) - gammaln(sv + s + b + 2))
 
     return D1, t, hfun, D2
@@ -141,6 +141,10 @@ class ConversionMatrix:
     reflection identity, which introduces (-1)^n sign diagonals).
     Coefficient vectors transform by apply(v, transpose=True); apply(v)
     multiplies by the connection matrix itself (polynomial-to-polynomial).
+
+    A basis with exponent sum <= -1 (Chebyshev's is -1) makes D1[0] or D2[0]
+    0*inf or of the wrong sign (gammaln drops the sign of Gamma); row 0 and
+    column 0 are then split off: C[0, 0] = 1 (Q_0 = 1), _col0 = C[1:, 0].
     """
 
     k: int
@@ -152,6 +156,7 @@ class ConversionMatrix:
     _L: np.ndarray = field(repr=False, default=None)
     _that: np.ndarray = field(repr=False, default=None)
     _that_T: np.ndarray = field(repr=False, default=None)
+    _col0: np.ndarray | None = field(repr=False, default=None)
     _nfft: int = 0
 
     @classmethod
@@ -160,38 +165,46 @@ class ConversionMatrix:
     ) -> "ConversionMatrix":
         fg, fb = from_params.as_tuple()
         tg, tb = to_params.as_tuple()
-        if fb == tb and fg != tg:
+        if fb == tb:
             kind, g, s, b, sign = "first", fg, tg, fb, False
-        elif fg == tg and fb != tb:
+        elif fg == tg:
             # reflect x -> 1-x: second-parameter change becomes a first-
             # parameter change conjugated by (-1)^n diagonals
             kind, g, s, b, sign = "second", fb, tb, fg, True
-        elif fg == tg and fb == tb:
-            kind, g, s, b, sign = "first", fg, tg, fb, False
         else:
             raise TransformError(
                 f"conversion must change one parameter at a time: {from_params} -> {to_params}"
             )
-        D1, t, hfun, D2 = _closed_form_parts(k, g, s, b)
+        if g - s > 1.0:  # the Hankel factor is then not positive semidefinite
+            raise TransformError(f"conversion lowers a parameter by more than 1: "
+                                 f"{from_params} -> {to_params}")
+        head = int(min(g, s) + b + 1.0 <= 0.0)
+        D1, t, hfun, D2 = _closed_form_parts(k, g, s, b, head)
         if sign:
-            sgn = (-1.0) ** np.arange(k + 1)
+            sgn = (-1.0) ** np.arange(head, k + 1)
             D1 = D1 * sgn
             D2 = D2 * sgn
-        L = _pivoted_cholesky_hankel(hfun, k + 1, tol=tol)
+        col0 = None
+        if head:
+            # C[n, 0] = D1[n] t[n] h[n] D2[0], with h[n] D2[0] as one ratio
+            n = np.arange(1, k + 1, dtype=float)
+            col0 = D1 * t[1:] * np.exp(gammaln(n + g + b + 1) - gammaln(n + s + b + 2)
+                                       + gammaln(s + b + 2) - gammaln(b + 1))
+        m = k + 1 - head
+        L = _pivoted_cholesky_hankel(hfun, m, tol=tol)
         nfft = 1
-        while nfft < 2 * (k + 1):
+        while nfft < 2 * m:
             nfft *= 2
         tpad = np.zeros(nfft)
-        tpad[: k + 1] = t
+        tpad[:m] = t[:m]
         that = rfft(tpad)
         tpad_T = np.zeros(nfft)
         tpad_T[0] = t[0]
-        if k >= 1:
-            tpad_T[-k:] = t[1:][::-1]
+        tpad_T[nfft - m + 1:] = t[1:m][::-1]
         that_T = rfft(tpad_T)
         return cls(
             k=k, kind=kind, from_params=from_params, to_params=to_params,
-            _D1=D1, _D2=D2, _L=L, _that=that, _that_T=that_T, _nfft=nfft,
+            _D1=D1, _D2=D2, _L=L, _that=that, _that_T=that_T, _col0=col0, _nfft=nfft,
         )
 
     @property
@@ -199,31 +212,27 @@ class ConversionMatrix:
         return self._L.shape[1]
 
     def _toeplitz_block(self, X: np.ndarray, hat: np.ndarray) -> np.ndarray:
-        Y = irfft(rfft(X, n=self._nfft, axis=0) * hat[:, None], n=self._nfft, axis=0)
-        return Y[: self.k + 1]
+        # in place: one ~2 MB temporary fewer per apply at N = 2048 (fresh-page faults)
+        F = rfft(X, n=self._nfft, axis=0)
+        F *= hat[:, None]
+        return irfft(F, n=self._nfft, axis=0, overwrite_x=True)[: X.shape[0]]
 
     def apply(self, v: np.ndarray, transpose: bool = False) -> np.ndarray:
         """C @ v, or C.T @ v with transpose=True (the coefficient map)."""
         v = np.asarray(v, dtype=float)
         if v.shape != (self.k + 1,):
             raise TransformError(f"expected vector of length {self.k + 1}, got {v.shape}")
+        col0 = self._col0
+        w = v if col0 is None else v[1:]
+        D_in, hat, D_out = ((self._D1, self._that_T, self._D2) if transpose
+                            else (self._D2, self._that, self._D1))
+        X = self._L * (D_in * w)[:, None]
+        out = D_out * np.einsum("ij,ij->i", self._L, self._toeplitz_block(X, hat))
+        if col0 is None:
+            return out
         if transpose:
-            X = self._L * (self._D1 * v)[:, None]
-            Y = self._toeplitz_block(X, self._that_T)
-            return self._D2 * np.einsum("ij,ij->i", self._L, Y)
-        X = self._L * (self._D2 * v)[:, None]
-        Y = self._toeplitz_block(X, self._that)
-        return self._D1 * np.einsum("ij,ij->i", self._L, Y)
-
-    def dense(self) -> np.ndarray:
-        """Materialize the matrix (for testing / small k)."""
-        out = np.empty((self.k + 1, self.k + 1))
-        e = np.zeros(self.k + 1)
-        for j in range(self.k + 1):
-            e[j] = 1.0
-            out[:, j] = self.apply(e)
-            e[j] = 0.0
-        return out
+            return np.concatenate([[v[0] + col0 @ w], out])
+        return np.concatenate([[v[0]], out + col0 * v[0]])
 
 
 class ConversionCache:
@@ -241,26 +250,25 @@ class ConversionCache:
             self._store[key] = ConversionMatrix.build(k, from_params, to_params)
         return self._store[key]
 
+    def chain(self, k: int, src: JacobiParams, target: JacobiParams):
+        """Yield the one-parameter conversions whose product, in this order,
+        is C_{src->target}: the first parameter first, and a parameter that
+        falls by more than 1 in steps of 1."""
+        while src != target:
+            g, b = src.as_tuple()
+            step = (JacobiParams(max(target.gamma, g - 1.0), b) if g != target.gamma
+                    else JacobiParams(g, max(target.beta, b - 1.0)))
+            yield self.get(k, src, step)
+            src = step
+
 
 def jacobi_to_jacobi(f: SpectralFunction, target: JacobiParams,
                      cache: ConversionCache | None = None) -> SpectralFunction:
-    """Re-expand the polynomial part of f in the target Jacobi basis.
-
-    General parameter changes are composed from two one-parameter
-    conversions through the intermediate (target.gamma, source.beta).
-    """
-    src = f.poly_params
-    k = f.degree
+    """Re-expand the polynomial part of f in the target Jacobi basis, through
+    the one-parameter conversions of ConversionCache.chain."""
     coeffs = f.coeffs
-    if src == target:
-        return f
-    cache = cache or ConversionCache()
-    if src.gamma != target.gamma:
-        mid = JacobiParams(target.gamma, src.beta)
-        coeffs = cache.get(k, src, mid).apply(coeffs, transpose=True)
-        src = mid
-    if src.beta != target.beta:
-        coeffs = cache.get(k, src, target).apply(coeffs, transpose=True)
+    for C in (cache or ConversionCache()).chain(f.degree, f.poly_params, target):
+        coeffs = C.apply(coeffs, transpose=True)
     return SpectralFunction(f.weight_exponents, target, coeffs)
 
 

@@ -21,7 +21,7 @@ from fracctrl.analysis import (
     _spec_digest,
 )
 from fracctrl.fracparams import solve_sigma
-from fracctrl.jacobi import JacobiParams, jacobi_norm_sq
+from fracctrl.jacobi import JacobiParams, gauss_jacobi_rule, jacobi_norm_sq
 from fracctrl.solver import ControlFunction, ProblemSpec, SolverConfig, optimize
 from fracctrl.transforms import SpectralFunction, chebyshev_expand
 
@@ -32,6 +32,37 @@ def make_fun(pair, coeffs, frame="state"):
     else:
         g, b = pair.sigma_star, pair.sigma
     return SpectralFunction((g, b), JacobiParams(g, b), np.asarray(coeffs, float))
+
+
+def gauss_jacobi_error(p_N, p_ref, a, b):
+    """Oracle: ||p_N - p_ref|| / ||p_ref|| in the w^{a,b} norm by a
+    Gauss-Jacobi rule for the combined weight w^{a,b} w^2, exact on the
+    squared polynomial parts."""
+    wa, wb = p_ref.weight_exponents
+    rule = gauss_jacobi_rule(max(len(p_N.coeffs), len(p_ref.coeffs)) + 1,
+                             JacobiParams(a + 2 * wa, b + 2 * wb))
+    ref = p_ref.poly_values(rule.nodes)
+    diff = ref - p_N.poly_values(rule.nodes)
+    return np.sqrt((rule.weights @ diff**2) / (rule.weights @ ref**2))
+
+
+def adaptive_error(q_N, q_ref, a=0.0, b=0.0):
+    """Oracle: ||q_N - q_ref|| / ||q_ref|| in the w^{a,b} norm by adaptive
+    quadrature of the two represented functions (the reference has
+    algebraic endpoint behavior, which QAWS integrates against x^b (1-x)^a)."""
+    from scipy.integrate import quad
+
+    def integral_sq(fn):
+        def sq(x):
+            return float(fn(np.array([x]))[0]) ** 2
+        if a == 0.0 and b == 0.0:
+            return quad(sq, 0.0, 1.0, epsabs=1e-18, epsrel=1e-13)[0]
+        return quad(sq, 0.0, 1.0, weight="alg", wvar=(b, a), epsabs=1e-18, epsrel=1e-13,
+                    limit=500)[0]
+
+    num = integral_sq(lambda x: q_N.values(x) - q_ref.values(x))
+    den = integral_sq(q_ref.values)
+    return np.sqrt(num / den)
 
 
 def example1_spec(alpha=1.8, theta=0.7):
@@ -66,16 +97,24 @@ class TestWeightedError:
         expected = abs(delta) * np.sqrt(h[k]) / np.sqrt(np.dot(ref_c**2, h))
         got = weighted_error(p_N, p_ref, -g, -b)
         assert got == pytest.approx(expected, rel=1e-12)
-        # quadrature path agrees with the coefficientwise formula
-        got_q = weighted_error(p_N, p_ref, -g, -b, use_quadrature=True)
-        assert got_q == pytest.approx(expected, rel=1e-12)
+        # and the Gauss-Jacobi oracle agrees with the coefficientwise formula
+        assert got == pytest.approx(gauss_jacobi_error(p_N, p_ref, -g, -b), rel=1e-12)
 
     def test_l2_norm_by_quadrature(self):
         pair = solve_sigma(0.5, 1.6)
         p_ref = make_fun(pair, [0.8, -0.1, 0.4])
         p_N = make_fun(pair, [0.8, -0.1])
         e = weighted_error(p_N, p_ref, 0.0, 0.0)
-        assert np.isfinite(e) and e > 0
+        assert e == pytest.approx(gauss_jacobi_error(p_N, p_ref, 0.0, 0.0), rel=1e-12)
+
+    def test_weight_far_below_basis(self):
+        # combined weight (-0.7, -0.7) from the (0.9, 0.9) basis: the
+        # re-expansion lowers each parameter by 1.6, in two conversions
+        pair = solve_sigma(0.5, 1.8)
+        r = np.random.default_rng(0).standard_normal(20)
+        p_ref, p_N = make_fun(pair, r), make_fun(pair, r[:12])
+        e = weighted_error(p_N, p_ref, -2.5, -2.5)
+        assert e == pytest.approx(gauss_jacobi_error(p_N, p_ref, -2.5, -2.5), rel=1e-12)
 
     def test_basis_mismatch_rejected(self):
         pair = solve_sigma(0.7, 1.4)
@@ -98,19 +137,17 @@ class TestWeightedError:
         q_ref = ControlFunction(1.0, z, 1.0)
         q_N = ControlFunction(1.0 + 3e-5, z, 1.0)
         got = weighted_error(q_N, q_ref, 0.0, 0.0)
-        # oracle by adaptive quadrature of the two represented functions
-        # (the reference has algebraic endpoint behavior)
-        from scipy.integrate import quad
-        def diff_sq(x):
-            xs = np.array([x])
-            return float((q_N.values(xs) - q_ref.values(xs))[0]) ** 2
+        assert got == pytest.approx(adaptive_error(q_N, q_ref), rel=1e-9)
 
-        def ref_sq(x):
-            return float(q_ref.values(np.array([x]))[0]) ** 2
-
-        num = quad(diff_sq, 0.0, 1.0, epsabs=1e-18, epsrel=1e-13)[0]
-        den = quad(ref_sq, 0.0, 1.0, epsabs=1e-18, epsrel=1e-13)[0]
-        assert got == pytest.approx(np.sqrt(num / den), rel=1e-9)
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_control_nonconstant_difference(self, weighted):
+        # the z-parts differ too, so the cross and square terms are measured
+        pair = solve_sigma(0.7, 1.4)
+        a, b = (-pair.sigma_star, -pair.sigma) if weighted else (0.0, 0.0)
+        q_ref = ControlFunction(1.0, make_fun(pair, [0.5, -0.2, 0.1, 0.03], frame="adjoint"), 0.8)
+        q_N = ControlFunction(1.0 + 3e-5, make_fun(pair, [0.5, -0.19, 0.1], frame="adjoint"), 0.8)
+        got = weighted_error(q_N, q_ref, a, b)
+        assert got == pytest.approx(adaptive_error(q_N, q_ref, a, b), rel=1e-9)
 
     def test_control_nonintegrable_weight_is_nan(self):
         # measuring q in the (-sigma*, -sigma) norm needs sigma* < 1;

@@ -102,6 +102,18 @@ class TestConfig:
         assert np.allclose(spec.f.values(np.array([0.0, 0.5, 1.0])), [0.75, 0.75, 1.75],
                            rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("text", [
+        "3.0", "[[1, 2], [3, 4]]", "[]", "[1, NaN]", '[1, "2"]', "[true]", "[1, 1e400]",
+        "[1" + "0" * 400 + "]",
+    ], ids=["scalar", "nested", "empty", "nan", "string", "bool", "inf", "huge-int"])
+    def test_bad_chebyshev_file_exits_2(self, tmp_path, capsys, text):
+        data = tmp_path / "coeffs.json"
+        data.write_text(text)
+        cfg = write_config(tmp_path, {"problem": {"f": {"chebyshev_file": str(data)}},
+                                      "solver": {"N": 8, "mode": "direct"}})
+        assert main(["solve", "--config", cfg]) == EXIT_CONFIG
+        assert "problem.f" in capsys.readouterr().err
+
     def test_build_solver_config(self):
         cfg = build_solver_config(RunConfig(solver={"N": 128, "mode": "direct"}))
         assert cfg.N == 128 and cfg.mode == "direct"

@@ -31,6 +31,12 @@ def rel_err(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
 
 
+def tridiagonal(pre):
+    """The matrix of a BandedPreconditioner, from its solve_banded layout."""
+    sup, mid, sub = pre.bands
+    return np.diag(mid) + np.diag(sup[1:], 1) + np.diag(sub[:-1], -1)
+
+
 class TestDenseAssembly:
     def test_stiffness_positive(self):
         for theta, alpha in PAIRS:
@@ -173,7 +179,7 @@ class TestPreconditioner:
         Pd = np.diag(ops.S) - ops.lam1 * K + ops.lam2 * np.diag(ops.Q_diag)
         rng = np.random.default_rng(0)
         v = rng.standard_normal(33)
-        assert rel_err(P.matvec(v), Pd @ v) < 1e-13
+        assert rel_err(tridiagonal(P) @ v, Pd @ v) < 1e-13
 
     def test_round_trip(self):
         pair = solve_sigma(0.5, 1.2)
@@ -182,8 +188,9 @@ class TestPreconditioner:
         rng = np.random.default_rng(1)
         for pre in (P, Phat):
             v = rng.standard_normal(65)
-            assert rel_err(pre.matvec(pre.solve(v)), v) < 1e-12
-            assert rel_err(pre.solve(pre.matvec(v)), v) < 1e-12
+            T = tridiagonal(pre)
+            assert rel_err(T @ pre.solve(v), v) < 1e-12
+            assert rel_err(pre.solve(T @ v), v) < 1e-12
 
     def test_no_advection_is_diagonal(self):
         pair = solve_sigma(0.7, 1.4)
@@ -203,6 +210,21 @@ def quadrature_rhs_oracle(fun_vals_weighted, test, N, weight, npts=800):
 def data_rhs_F(f, pair, N):
     """F for data f and the zero control."""
     return RhsAssembler(N, pair, f, None).rhs_F(0.0, np.zeros(N + 1), 1.0)
+
+
+def assert_sin_data_projection(pair, beta, N=16):
+    """F for f = w^{beta,beta} * sin (beta = 0 is plain data) against the
+    quadrature oracle under the combined weight w^{s*+beta, s+beta}."""
+    cheb = chebyshev_expand(np.sin, M=64)
+    f = SpectralFunction((beta, beta), cheb.poly_params, cheb.coeffs)
+    F = data_rhs_F(f, pair, N)
+    oracle = quadrature_rhs_oracle(
+        lambda x: np.sin(x),
+        JacobiParams(pair.sigma_star, pair.sigma),
+        N,
+        (pair.sigma_star + beta, pair.sigma + beta),
+    )
+    assert np.max(np.abs(F - oracle)) < 1e-12
 
 
 class TestRhs:
@@ -227,33 +249,14 @@ class TestRhs:
         assert np.all(F0[1:] == 0)
 
     def test_f_data_against_refined_quadrature(self):
-        pair = solve_sigma(0.7, 1.4)
-        N = 16
-        f = chebyshev_expand(np.sin, M=64)
-        F = data_rhs_F(f, pair, N)
-        oracle = quadrature_rhs_oracle(
-            lambda x: np.sin(x),
-            JacobiParams(pair.sigma_star, pair.sigma),
-            N,
-            (pair.sigma_star, pair.sigma),
-        )
-        assert np.max(np.abs(F - oracle)) < 1e-12
+        for beta in (0.0, 0.3):
+            assert_sin_data_projection(solve_sigma(0.7, 1.4), beta)
 
     def test_weighted_f_data(self):
-        # f = w^{beta,beta} * sin with beta = -0.4: combined weight rule
-        pair = solve_sigma(0.5, 1.8)
-        beta = -0.4
-        N = 16
-        cheb = chebyshev_expand(np.sin, M=64)
-        f = SpectralFunction((beta, beta), cheb.poly_params, cheb.coeffs)
-        F = data_rhs_F(f, pair, N)
-        oracle = quadrature_rhs_oracle(
-            lambda x: np.sin(x),
-            JacobiParams(pair.sigma_star, pair.sigma),
-            N,
-            (pair.sigma_star + beta, pair.sigma + beta),
-        )
-        assert np.max(np.abs(F - oracle)) < 1e-12
+        # -1.5 lowers the test parameters (0.9, 0.9) by more than 1, to a
+        # weight whose exponents sum below -1
+        for beta in (-0.4, 0.3, -1.5):
+            assert_sin_data_projection(solve_sigma(0.5, 1.8), beta)
 
     def test_g_vanishes_when_u_matches_target(self):
         pair = solve_sigma(0.7, 1.4)

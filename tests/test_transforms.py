@@ -74,6 +74,34 @@ class TestFactored:
         scale = np.max(np.abs(Cd @ v))
         assert np.max(np.abs(th.apply(v) - Cd @ v)) < 1e-10 * scale
 
+    @pytest.mark.parametrize("k", [0, 1, 8, 16, 32])
+    @pytest.mark.parametrize("src,dst", [
+        ((-0.5, -0.5), (0.3, -0.5)), ((-0.5, -0.5), (-0.5, 1.4)), ((0.3, -0.5), (-0.5, -0.5)),
+        ((-0.7, -0.7), (0.2, -0.7)), ((-0.7, -0.1), (-0.7, -0.7)),
+    ])
+    def test_low_exponent_sum_matches_dense(self, k, src, dst):
+        # a basis with exponent sum <= -1: row 0 and column 0 are split off
+        Cd = connection_dense(k, JacobiParams(*src), JacobiParams(*dst))
+        th = ConversionMatrix.build(k, JacobiParams(*src), JacobiParams(*dst))
+        v = np.random.default_rng(k).standard_normal(k + 1)
+        assert np.max(np.abs(th.apply(v) - Cd @ v)) < 1e-12 * np.max(np.abs(Cd @ v))
+        assert (np.max(np.abs(th.apply(v, transpose=True) - Cd.T @ v))
+                < 1e-12 * np.max(np.abs(Cd.T @ v)))
+
+    @pytest.mark.parametrize("second", [False, True])
+    def test_decrease_bound(self, second):
+        def params(g, b):
+            return JacobiParams(b, g) if second else JacobiParams(g, b)
+        src = params(0.6, 0.2)
+        # lowering by exactly 1 is exact; by more, the Hankel factor is not PSD
+        Cd = connection_dense(32, src, params(-0.4, 0.2))
+        th = ConversionMatrix.build(32, src, params(-0.4, 0.2))
+        v = np.random.default_rng(4).standard_normal(33)
+        assert np.max(np.abs(th.apply(v) - Cd @ v)) < 1e-12 * np.max(np.abs(Cd @ v))
+        for lowered in (-0.42, -0.9):
+            with pytest.raises(TransformError, match="more than 1"):
+                ConversionMatrix.build(32, src, params(lowered, 0.2))
+
     def test_identity_factored(self):
         p = JacobiParams(0.5, 0.2)
         th = ConversionMatrix.build(20, p, p)
@@ -125,6 +153,18 @@ class TestJacobiToJacobi:
         f = SpectralFunction((0, 0), src, rng.standard_normal(129))
         back = jacobi_to_jacobi(jacobi_to_jacobi(f, tgt), src)
         assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-10 * np.max(np.abs(f.coeffs))
+
+    def test_lowering_by_more_than_1_is_chained(self):
+        rng = np.random.default_rng(6)
+        f = SpectralFunction((0, 0), JacobiParams(0.9, 0.9), rng.standard_normal(20))
+        g = jacobi_to_jacobi(f, JacobiParams(-0.7, -0.7))
+        x = np.linspace(0.01, 0.99, 50)
+        assert np.max(np.abs(g.poly_values(x) - f.poly_values(x))) < 1e-11
+
+    def test_chebyshev_sin(self):
+        f = jacobi_to_jacobi(chebyshev_expand(np.sin), JacobiParams(0.5, 0.5))
+        x = np.linspace(0, 1, 101)
+        assert np.max(np.abs(f.poly_values(x) - np.sin(x))) < 1e-13
 
     def test_degree_preserved(self):
         rng = np.random.default_rng(2)
