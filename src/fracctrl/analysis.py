@@ -142,7 +142,7 @@ def _spec_digest(spec: ProblemSpec, N: int, config: SolverConfig) -> str:
         "version": CACHE_VERSION,
         "alpha": spec.alpha, "theta": spec.theta,
         "lambda1": spec.lambda1, "lambda2": spec.lambda2, "gamma": spec.gamma,
-        "N": N, "inner_tol": config.inner_tol, "outer_tol": config.outer_tol,
+        "N": N, "outer_tol": config.outer_tol,
         "mode": config.mode,
     }
     blob.write(json.dumps(meta, sort_keys=True).encode())

@@ -42,7 +42,7 @@ class ConfigError(Exception):
 
 _PROBLEM_KEYS = {"alpha", "theta", "lambda1", "lambda2", "gamma", "beta",
                  "f", "u_d", "data_regularity"}
-_SOLVER_KEYS = {"mode", "N", "Ns", "N_ref", "inner_tol", "inner_max",
+_SOLVER_KEYS = {"mode", "N", "Ns", "N_ref", "inner_max",
                 "outer_tol", "outer_max", "bootstrap_N"}
 _OUTPUT_KEYS = {"format", "path"}
 _TOP_KEYS = {"problem", "solver", "output"}
@@ -161,7 +161,6 @@ def build_solver_config(cfg: RunConfig, mode_override: str | None = None) -> Sol
         return SolverConfig(
             N=int(s.get("N", 64)),
             mode=mode_override or s.get("mode", "fast"),
-            inner_tol=float(s.get("inner_tol", 1e-14)),
             inner_max=int(s.get("inner_max", 400)),
             outer_tol=float(s.get("outer_tol", 1e-12)),
             outer_max=int(s.get("outer_max", 5000)),

@@ -17,7 +17,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .fracparams import ExponentPair, lambda_coeff
-from .jacobi import JacobiParams, gauss_jacobi_rule, jacobi_matrix, jacobi_norm_sq, jacobi_rows
+from .jacobi import (JacobiParams, QuadratureRule, gauss_jacobi_rule, jacobi_matrix,
+                     jacobi_norm_sq, jacobi_rows)
 from .transforms import ConversionCache, SpectralFunction, jacobi_to_jacobi
 
 
@@ -183,16 +184,16 @@ def assemble_fast(N: int, pair: ExponentPair, lam1: float, lam2: float,
     )
 
 
-def advection_offdiagonals(N: int, pair: ExponentPair, adjoint: bool = False):
-    """First super- and sub-diagonal of D (or Dhat) by streaming quadrature.
+def advection_offdiagonals(N: int, pair: ExponentPair, rule: QuadratureRule,
+                           adjoint: bool = False):
+    """First super- and sub-diagonal of D (or Dhat) by streaming quadrature
+    with `rule`, the (N+3)-point Gauss rule for weight (alpha-1, alpha-1).
 
     Returns (up, lo) with up[n] = D[n, n+1] for n = 0..N-1 and
     lo[n] = D[n+1, n] for n = 0..N-1 (index N entries are scratch).
     Memory O(npts); never materializes the dense matrix.
     """
     g, b = (pair.sigma, pair.sigma_star) if not adjoint else (pair.sigma_star, pair.sigma)
-    a = pair.alpha
-    rule = gauss_jacobi_rule(N + 3, JacobiParams(a - 1, a - 1))
     t = 2.0 * rule.nodes - 1.0
     w = rule.weights
     trial = jacobi_rows(JacobiParams(g, b), t)
@@ -229,18 +230,16 @@ def build_preconditioners(ops: OperatorSet) -> tuple[BandedPreconditioner, Bande
     """
     N = ops.N
     diag = ops.S + ops.lam2 * ops.Q_diag
+    a1 = ops.pair.alpha - 1
+    rule = gauss_jacobi_rule(N + 3, JacobiParams(a1, a1)) if ops.lam1 != 0.0 else None
     out = []
     for adjoint, sign in ((False, -1.0), (True, +1.0)):
-        if ops.lam1 != 0.0:
-            u, l = advection_offdiagonals(N, ops.pair, adjoint=adjoint)
-            up, lo = u[:-1], l[:-1]
-        else:
-            up = np.zeros(N)
-            lo = np.zeros(N)
         bands = np.zeros((3, N + 1))
-        bands[0, 1:] = sign * ops.lam1 * up
+        if rule is not None:
+            up, lo = advection_offdiagonals(N, ops.pair, rule, adjoint)
+            bands[0, 1:] = sign * ops.lam1 * up[:-1]
+            bands[2, :-1] = sign * ops.lam1 * lo[:-1]
         bands[1] = diag
-        bands[2, :-1] = sign * ops.lam1 * lo
         if np.any(bands[1] == 0.0):
             raise AssemblyError("singular preconditioner diagonal")
         out.append(BandedPreconditioner(bands))

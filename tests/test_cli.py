@@ -60,6 +60,9 @@ class TestConfig:
         path = write_config(tmp_path, {"output": {"format": "csv", "verbosity": 2}})
         with pytest.raises(ConfigError, match=r"output\.verbosity at line 4, column 3"):
             load_config(path)
+        path = write_config(tmp_path, {"solver": {"N": 32, "inner_tol": 1e-14}})
+        with pytest.raises(ConfigError, match=r"solver\.inner_tol at line 4, column 3"):
+            load_config(path)
 
     def test_unknown_top_level_key(self, tmp_path):
         path = write_config(tmp_path, {"problems": {}})

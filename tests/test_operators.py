@@ -166,8 +166,9 @@ class TestPreconditioner:
         pair = solve_sigma(0.7, 1.4)
         N = 64
         ops = assemble_dense(N, pair, 1.0, 1.0)
+        rule = gauss_jacobi_rule(N + 3, JacobiParams(pair.alpha - 1, pair.alpha - 1))
         for adjoint, Dm in ((False, ops.D), (True, ops.Dhat)):
-            up, lo = advection_offdiagonals(N, pair, adjoint=adjoint)
+            up, lo = advection_offdiagonals(N, pair, rule, adjoint=adjoint)
             assert np.allclose(up[:-1], np.diag(Dm, 1), rtol=1e-12)
             assert np.allclose(lo[:-1], np.diag(Dm, -1), rtol=1e-12)
 

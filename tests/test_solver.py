@@ -39,8 +39,6 @@ class TestConfig:
 
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(ValueError):
-            SolverConfig(inner_tol=0.0)
-        with pytest.raises(ValueError):
             SolverConfig(outer_tol=-1e-12)
 
     def test_bootstrap_clamped_to_n(self):
@@ -197,6 +195,29 @@ class TestOptimize:
         with pytest.raises(SolverError, match=r"control change is nan at iteration") as exc:
             optimize(spec, SolverConfig(N=64, mode=mode))
         assert int(str(exc.value).rsplit(" ", 1)[1]) < 1000
+
+    def test_noncontracting_fixed_point_raises(self):
+        # alpha near 1: the banded preconditioner no longer makes the inner
+        # iteration contract; fast mode raises where direct mode converges
+        spec = example1_spec(alpha=1.15, theta=0.7)
+        with pytest.raises(SolverError, match="does not contract"):
+            optimize(spec, SolverConfig(N=64, mode="fast"))
+
+    @pytest.mark.parametrize("alpha, N", [(1.2, 64), (1.8, 64), (1.8, 256)])
+    def test_kkt_residuals(self, alpha, N):
+        # the returned triple satisfies the state and adjoint equations of
+        # the dense oracle, whatever tolerances the inner solves stopped at
+        spec = example1_spec(alpha=alpha, theta=0.7)
+        cache = ConversionCache()
+        triple = optimize(spec, SolverConfig(N=N, mode="fast"), cache=cache)
+        dense = assemble_dense(N, triple.pair, spec.lambda1, spec.lambda2)
+        asm = RhsAssembler(N, triple.pair, spec.f, spec.u_d, cache)
+        F = asm.rhs_F(triple.q.constant_part, triple.q.z_part.coeffs, spec.gamma)
+        G = asm.rhs_G(triple.U.coeffs)
+        assert (np.linalg.norm(dense.dense_A() @ triple.U.coeffs - F)
+                <= 1e-11 * np.linalg.norm(F))
+        assert (np.linalg.norm(dense.dense_B() @ triple.Z.coeffs - G)
+                <= 1e-11 * np.linalg.norm(G))
 
     def test_diagnostic_mode_lambda1_zero(self):
         # lambda1 = 0 (no advection) is accepted for manufactured tests
