@@ -14,12 +14,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import betaln
 
+from .fracparams import predict_orders
 from .jacobi import JacobiParams, jacobi_norm_sq
 from .solver import (
     ControlFunction,
     OptimalTriple,
     ProblemSpec,
     SolverConfig,
+    SolveStats,
     optimize,
 )
 from .transforms import ConversionCache, SpectralFunction, jacobi_to_jacobi
@@ -68,7 +70,8 @@ def _control_norm_sq(c: float, zc: np.ndarray, params: JacobiParams,
     return float(const_term - 2.0 * c / gamma * cross + square / gamma**2)
 
 
-def weighted_error(p_N, p_ref, a: float, b: float) -> float:
+def weighted_error(p_N, p_ref, a: float, b: float,
+                   cache: ConversionCache | None = None) -> float:
     """Relative weighted L2 error ||p_N - p_ref||_{w^{a,b}} / ||p_ref||.
 
     Both arguments must be SpectralFunctions in the same basis, or both
@@ -77,7 +80,7 @@ def weighted_error(p_N, p_ref, a: float, b: float) -> float:
     weight; when (a, b) cancels the functions' intrinsic weight that basis
     is their own and the formula is coefficientwise (Parseval).
     """
-    cache = ConversionCache()
+    cache = cache or ConversionCache()
     if isinstance(p_N, ControlFunction) and isinstance(p_ref, ControlFunction):
         z1, z2 = p_N.z_part, p_ref.z_part
         if z1.poly_params != z2.poly_params:
@@ -215,7 +218,6 @@ def load_reference(digest: str, spec: ProblemSpec) -> OptimalTriple | None:
     z_fun = SpectralFunction((b, g), JacobiParams(b, g), Z)
     q_fun = ControlFunction(c, SpectralFunction((b, g), JacobiParams(b, g), Z), spec.gamma)
     stats_iters = meta.get("outer_iterations", 0)
-    from .solver import SolveStats
     st = SolveStats(outer_iterations=stats_iters, wall_time=meta.get("wall_time", 0.0))
     return OptimalTriple(U=u_fun, Z=z_fun, q=q_fun, pair=pair, stats=st)
 
@@ -273,17 +275,19 @@ class ConvergenceReport:
         return out
 
 
-def triple_errors(triple: OptimalTriple, ref: OptimalTriple) -> dict:
+def triple_errors(triple: OptimalTriple, ref: OptimalTriple,
+                  cache: ConversionCache | None = None) -> dict:
     """All six relative error norms of a solve against the reference."""
     pair = triple.pair
     g, b = pair.sigma, pair.sigma_star
+    cache = cache or ConversionCache()
     return {
-        "u_weighted": weighted_error(triple.U, ref.U, -g, -b),
-        "z_weighted": weighted_error(triple.Z, ref.Z, -b, -g),
-        "q_weighted": weighted_error(triple.q, ref.q, -b, -g),
-        "u_l2": weighted_error(triple.U, ref.U, 0.0, 0.0),
-        "z_l2": weighted_error(triple.Z, ref.Z, 0.0, 0.0),
-        "q_l2": weighted_error(triple.q, ref.q, 0.0, 0.0),
+        "u_weighted": weighted_error(triple.U, ref.U, -g, -b, cache),
+        "z_weighted": weighted_error(triple.Z, ref.Z, -b, -g, cache),
+        "q_weighted": weighted_error(triple.q, ref.q, -b, -g, cache),
+        "u_l2": weighted_error(triple.U, ref.U, 0.0, 0.0, cache),
+        "z_l2": weighted_error(triple.Z, ref.Z, 0.0, 0.0, cache),
+        "q_l2": weighted_error(triple.q, ref.q, 0.0, 0.0, cache),
     }
 
 
@@ -298,7 +302,6 @@ def convergence_study(spec: ProblemSpec, Ns, N_ref: int, config: SolverConfig,
         raise AnalysisError("degenerate study: Ns equals N_ref")
     if N_ref < 4 * max(Ns):
         raise AnalysisError(f"N_ref = {N_ref} must be >= 4*max(Ns) = {4 * max(Ns)}")
-    from .fracparams import predict_orders
     pair = spec.exponent_pair()
     shared = ConversionCache()
     ref = reference_solve(spec, N_ref, config, use_cache=use_cache, cache=shared)
@@ -312,7 +315,7 @@ def convergence_study(spec: ProblemSpec, Ns, N_ref: int, config: SolverConfig,
         t0 = time.perf_counter()
         triple = optimize(spec, cfg, cache=shared)
         dt = time.perf_counter() - t0
-        errs = triple_errors(triple, ref)
+        errs = triple_errors(triple, ref, shared)
         for k in per_var:
             per_var[k].append(errs[k])
         report.iters.append(triple.stats.outer_iterations)

@@ -127,13 +127,13 @@ def gauss_jacobi_rule(npts: int, p: JacobiParams) -> QuadratureRule:
     g, b = p.gamma, p.beta
     ab = g + b
     k = np.arange(npts, dtype=float)
+    j = k[1:]
+    s = 2 * j + ab
     with np.errstate(invalid="ignore", divide="ignore"):
         denom = (2 * k + ab) * (2 * k + ab + 2)
         diag = np.where(denom == 0.0, 0.0, (b * b - g * g) / denom)
+        off_sq = 4 * j * (j + g) * (j + b) * (j + ab) / (s * s * (s * s - 1.0))
     diag[0] = (b - g) / (ab + 2.0)  # k=0 always has this closed form
-    j = np.arange(1, npts, dtype=float)
-    s = 2 * j + ab
-    off_sq = 4 * j * (j + g) * (j + b) * (j + ab) / (s * s * (s * s - 1.0))
     if npts > 1 and ab + 1.0 == 0.0:
         # j=1 cancels (j+ab) against the (s^2-1) zero
         off_sq[0] = 4 * (1 + g) * (1 + b) / ((2 + ab) ** 2 * (3 + ab))

@@ -19,7 +19,7 @@ from scipy.linalg import solve_banded
 from .fracparams import ExponentPair, lambda_coeff
 from .jacobi import (JacobiParams, QuadratureRule, gauss_jacobi_rule, jacobi_matrix,
                      jacobi_norm_sq, jacobi_rows)
-from .transforms import ConversionCache, SpectralFunction, jacobi_to_jacobi
+from .transforms import ConversionCache, SpectralFunction, WeightedGram
 
 
 class AssemblyError(RuntimeError):
@@ -46,6 +46,10 @@ class FastOperatorApply:
     """O(N log N) application of S - sgn*lam1*D + lam2*M in the trial frame
     with polynomial parameters (g, b).
 
+    Mass and advection are weighted Grams of the trial series u against the
+    test basis (b, g) and its lowered counterpart, one degree larger:
+    (M U)_m = (u, Q_m^{b,g})_{w^{a,a}} and
+    (D U)_m = -(m+1) (u, Q_{m+1}^{b-1,g-1})_{w^{a-1,a-1}}, a = alpha.
     The state operator A uses (g, b) = (sigma, sigma*) and sgn = +1;
     the adjoint operator B is the same construction with parameters
     swapped and sgn = -1 (its advection enters with a plus sign and its
@@ -54,49 +58,24 @@ class FastOperatorApply:
 
     def __init__(self, N: int, pair: ExponentPair, g: float, b: float, sgn: float,
                  lam1: float, lam2: float, cache: ConversionCache | None = None):
-        self.N = N
         self.sgn = sgn
         self.lam1, self.lam2 = lam1, lam2
         a = pair.alpha
         cache = cache or ConversionCache()
-        nn = np.arange(N + 1)
-        self.S = stiffness_diagonal(N, pair)
-        self.h_aa = jacobi_norm_sq(nn, JacobiParams(a, a))
-        self.h_a1 = jacobi_norm_sq(np.arange(N + 2), JacobiParams(a - 1, a - 1))
         P = JacobiParams
-        # U^alpha route: transpose conversions (g,b) -> (a,b) -> (a,a)
-        self.Ca1 = cache.get(N, P(g, b), P(a, b))
-        self.Ca2 = cache.get(N, P(a, b), P(a, a))
-        # mass left factor: forward conversions (b,a) <- ... giving
-        # MU = C^{b,g->a} C^{b->a,a} (h_aa * U^alpha)
-        self.Cm2 = cache.get(N, P(b, g), P(b, a))
-        self.Cm1 = cache.get(N, P(b, a), P(a, a))
-        # advection right factor: U^{alpha-1} route, (g,b) -> (a-1,b) -> (a-1,a-1)
-        self.Cw_r1 = cache.get(N, P(g, b), P(a - 1, b))
-        self.Cw_r2 = cache.get(N, P(a - 1, b), P(a - 1, a - 1))
-        # advection left factor, one degree larger:
-        # (b-1,g-1) -> (b-1,a-1) -> (a-1,a-1), applied forward
-        self.Cw_l2 = cache.get(N + 1, P(b - 1, g - 1), P(b - 1, a - 1))
-        self.Cw_l1 = cache.get(N + 1, P(b - 1, a - 1), P(a - 1, a - 1))
-
-    def mass_apply(self, U: np.ndarray) -> np.ndarray:
-        Ua = self.Ca2.apply(self.Ca1.apply(U, transpose=True), transpose=True)
-        return self.Cm2.apply(self.Cm1.apply(self.h_aa * Ua))
-
-    def advection_apply(self, U: np.ndarray) -> np.ndarray:
-        Ua1 = self.Cw_r2.apply(self.Cw_r1.apply(U, transpose=True), transpose=True)
-        mid = np.zeros(self.N + 2)
-        mid[: self.N + 1] = self.h_a1[: self.N + 1] * Ua1
-        WU = self.Cw_l2.apply(self.Cw_l1.apply(mid))
-        # D U: drop the first row of the weak derivative, scale row n by -(n+1)
-        return -(np.arange(self.N + 1) + 1.0) * WU[1:]
+        self.S = stiffness_diagonal(N, pair)
+        self.mass = WeightedGram(cache, P(g, b), P(a, a), P(b, g), N, N)
+        self.weak_advection = WeightedGram(cache, P(g, b), P(a - 1, a - 1),
+                                           P(b - 1, g - 1), N, N + 1)
+        self._advection_rows = -(np.arange(N + 1) + 1.0)
 
     def __call__(self, U: np.ndarray) -> np.ndarray:
         out = self.S * U
         if self.lam1 != 0.0:
-            out -= self.sgn * self.lam1 * self.advection_apply(U)
+            # D U: drop the first row of the weak derivative, scale row n by -(n+1)
+            out -= self.sgn * self.lam1 * self._advection_rows * self.weak_advection(U)[1:]
         if self.lam2 != 0.0:
-            out += self.lam2 * self.mass_apply(U)
+            out += self.lam2 * self.mass(U)
         return out
 
 
@@ -250,13 +229,13 @@ class RhsAssembler:
     """Precomputed pieces of the right-hand sides F and G.
 
     F_m = (f + q_N, Q_m^{s*,s})_{w^{s*,s}}
-        = [data part, fixed] + c*h_0^{s*,s}*e_0 - (1/gamma) * M2 @ Zq
+        = [data part, fixed] + c*h_0^{s*,s}*e_0 - (1/gamma) * gram_z(Zq)
     G_m = (u_N - u_d, Q_m^{s,s*})_{w^{s,s*}}
-        = M3 @ U - [data part, fixed]
+        = gram_u(U) - [data part, fixed]
 
-    where M2 is the (s*,s)-frame Gram matrix under weight w^{2s*,2s} and
-    M3 its sigma-swapped counterpart, both applied through factored
-    conversions in O(N log N).
+    gram_z is the (s*,s)-frame Gram matrix under weight w^{2s*,2s} and
+    gram_u its sigma-swapped counterpart; they and the data parts are
+    WeightedGram applies, O(N log N) each.
     """
 
     def __init__(self, N: int, pair: ExponentPair, f: SpectralFunction | None,
@@ -266,43 +245,20 @@ class RhsAssembler:
         g, b = pair.sigma, pair.sigma_star
         cache = cache or ConversionCache()
         P = JacobiParams
-        nn = np.arange(N + 1)
         self.h0_zframe = float(jacobi_norm_sq(0, P(b, g)))
-        # z-part Gram factors: (b,g) -> (2b,g) -> (2b,2g)
-        self.Cq1 = cache.get(N, P(b, g), P(2 * b, g))
-        self.Cq2 = cache.get(N, P(2 * b, g), P(2 * b, 2 * g))
-        self.hq = jacobi_norm_sq(nn, P(2 * b, 2 * g))
-        # state Gram factors for G: (g,b) -> (2g,b) -> (2g,2b)
-        self.Cu1 = cache.get(N, P(g, b), P(2 * g, b))
-        self.Cu2 = cache.get(N, P(2 * g, b), P(2 * g, 2 * b))
-        self.hu = jacobi_norm_sq(nn, P(2 * g, 2 * b))
+        self.gram_z = WeightedGram(cache, P(b, g), P(2 * b, 2 * g), P(b, g), N, N)
+        self.gram_u = WeightedGram(cache, P(g, b), P(2 * g, 2 * b), P(g, b), N, N)
         self.F_data = self._project_data(f, P(b, g), cache) if f is not None else np.zeros(N + 1)
         self.G_data = (self._project_data(u_d, P(g, b), cache) if u_d is not None
                        else np.zeros(N + 1))
 
     def _project_data(self, fun: SpectralFunction, test: JacobiParams,
                       cache: ConversionCache) -> np.ndarray:
-        """(fun, Q_m^{test})_{w^{test}} = C_{test->T} (h^T * e) with T = test +
-        fun.weight and e the polynomial part in Q^T, orthogonal for w^T;
-        C_{test->T} is lower triangular, so only e[:N+1] enters."""
+        """(fun, Q_m^{test})_{w^{test}}: the polynomial part's Gram under
+        w^{T}, T = test + fun.weight_exponents."""
         wa, wb = fun.weight_exponents
         T = JacobiParams(test.gamma + wa, test.beta + wb)
-        e = jacobi_to_jacobi(fun, T, cache).coeffs[: self.N + 1]
-        v = np.zeros(self.N + 1)
-        v[: len(e)] = jacobi_norm_sq(np.arange(len(e)), T) * e
-        for C in reversed(list(cache.chain(self.N, test, T))):
-            v = C.apply(v)
-        return v
-
-    def gram_z(self, Zq: np.ndarray) -> np.ndarray:
-        """M2 @ Zq via the factored conversion route."""
-        t = self.Cq2.apply(self.Cq1.apply(Zq, transpose=True), transpose=True)
-        return self.Cq1.apply(self.Cq2.apply(self.hq * t, transpose=False), transpose=False)
-
-    def gram_u(self, U: np.ndarray) -> np.ndarray:
-        """M3 @ U via the factored conversion route."""
-        t = self.Cu2.apply(self.Cu1.apply(U, transpose=True), transpose=True)
-        return self.Cu1.apply(self.Cu2.apply(self.hu * t, transpose=False), transpose=False)
+        return WeightedGram(cache, fun.poly_params, T, test, fun.degree, self.N)(fun.coeffs)
 
     def rhs_F(self, c: float, Zq: np.ndarray, gamma: float) -> np.ndarray:
         F = self.F_data.copy()

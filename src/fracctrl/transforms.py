@@ -6,7 +6,8 @@ two parameter pairs differ in a single slot.  The dense form is built by a
 quadrature oracle (the normative definition); the Factored form stores the
 closed-form decomposition C = D1 (T o H) D2 with T Toeplitz and H Hankel,
 and applies it in O(r k log k) via FFT after a pivoted Cholesky of the
-positive-semidefinite Hankel factor.
+positive-semidefinite Hankel factor.  WeightedGram composes conversions
+into the weighted inner products of a series against a Jacobi basis.
 """
 
 from __future__ import annotations
@@ -260,6 +261,35 @@ class ConversionCache:
                     else JacobiParams(g, max(target.beta, b - 1.0)))
             yield self.get(k, src, step)
             src = step
+
+
+class WeightedGram:
+    """v -> (sum_n v_n Q_n^{src}, Q_m^{dst})_{w^{weight}} for m = 0..k_out,
+    for v of length k_in+1.
+
+    The series is re-expanded as sum e_n Q_n^{weight} (transpose chain
+    src -> weight), whose Gram is diagonal; then Q_m^{dst} = sum_j
+    C_{dst->weight}[m, j] Q_j^{weight} gives C_{dst->weight} (h^{weight} * e)
+    (forward chain, last step first).  C_{dst->weight} is lower triangular,
+    so e is zero-padded or truncated to k_out+1.  Both routes come from
+    ConversionCache.chain once, at construction.
+    """
+
+    def __init__(self, cache: ConversionCache, src: JacobiParams, weight: JacobiParams,
+                 dst: JacobiParams, k_in: int, k_out: int):
+        self.k_out = k_out
+        self._expand = list(cache.chain(k_in, src, weight))
+        self._h = jacobi_norm_sq(np.arange(min(k_in, k_out) + 1), weight)
+        self._back = list(cache.chain(k_out, dst, weight))[::-1]
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        for C in self._expand:
+            v = C.apply(v, transpose=True)
+        out = np.zeros(self.k_out + 1)
+        out[: len(self._h)] = self._h * v[: len(self._h)]
+        for C in self._back:
+            out = C.apply(out)
+        return out
 
 
 def jacobi_to_jacobi(f: SpectralFunction, target: JacobiParams,

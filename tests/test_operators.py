@@ -22,7 +22,12 @@ from fracctrl.operators import (
     stiffness_diagonal,
 )
 from fracctrl.solver import project_control
-from fracctrl.transforms import ConversionCache, SpectralFunction, chebyshev_expand
+from fracctrl.transforms import (
+    ConversionCache,
+    ConversionMatrix,
+    SpectralFunction,
+    chebyshev_expand,
+)
 
 PAIRS = [(0.5, 1.6), (0.7, 1.2), (1.0, 1.8)]
 
@@ -147,6 +152,22 @@ class TestFastApply:
                     e = np.zeros(25)
                     e[k] = 1.0
                     assert np.max(np.abs(U - e)) < 1e-12
+
+    def test_conversions_shared_and_no_identity(self, monkeypatch):
+        # A's mass routes are B's in reverse, and equal parameters take no step
+        built = []
+        build = ConversionMatrix.build.__func__
+
+        def recording_build(cls, k, from_params, to_params, *args, **kwargs):
+            built.append((from_params, to_params))
+            return build(cls, k, from_params, to_params, *args, **kwargs)
+
+        monkeypatch.setattr(ConversionMatrix, "build", classmethod(recording_build))
+        assemble_fast(32, solve_sigma(0.7, 1.6), 1.0, 1.0)
+        assert len(built) == 12
+        built.clear()
+        assemble_fast(32, solve_sigma(1.0, 1.6), 1.0, 1.0)
+        assert built and all(src != dst for src, dst in built)
 
     def test_dense_mode_has_no_fast_transforms(self):
         # each set holds only its own form: factored applies or oracle matrices

@@ -1,15 +1,18 @@
 """Tests for Jacobi conversion matrices, fast Toeplitz-Hankel matvecs,
 basis transforms, and Chebyshev expansion."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from fracctrl.jacobi import JacobiParams, jacobi_matrix
+from fracctrl.jacobi import JacobiParams, gauss_jacobi_rule, jacobi_matrix
 from fracctrl.transforms import (
     ConversionCache,
     ConversionMatrix,
     SpectralFunction,
     TransformError,
+    WeightedGram,
     chebyshev_expand,
     connection_dense,
     jacobi_to_jacobi,
@@ -49,6 +52,53 @@ class TestDenseOracle:
         before = v @ jacobi_matrix(k, src, x)
         after = (C.T @ v) @ jacobi_matrix(k, dst, x)
         assert np.max(np.abs(before - after)) < 1e-12 * np.max(np.abs(before))
+
+    def test_chebyshev_weight_without_warnings(self):
+        # exponent sum -1: the j=1 recurrence entry is 0/0 before its closed form
+        cheb = JacobiParams(-0.5, -0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rule = gauss_jacobi_rule(5, cheb)
+            C = connection_dense(8, JacobiParams(0.3, -0.5), cheb)
+        k = np.arange(1, 6)
+        assert np.allclose(np.sort(rule.nodes),
+                           np.sort((1 + np.cos((2 * k - 1) * np.pi / 10)) / 2), atol=1e-14)
+        assert np.allclose(rule.weights, np.pi / 5, rtol=1e-13)
+        assert np.all(np.isfinite(C))
+
+
+def gram_oracle(src, weight, dst, k_in, k_out):
+    """(Q_n^{src}, Q_m^{dst})_{w^{weight}} as a (k_out+1) x (k_in+1) matrix,
+    by a Gauss-Jacobi rule exact for the product's degree."""
+    rule = gauss_jacobi_rule((k_in + k_out) // 2 + 2, weight)
+    Es = jacobi_matrix(k_in, src, rule.nodes)
+    Ed = jacobi_matrix(k_out, dst, rule.nodes)
+    return (Ed * rule.weights) @ Es.T
+
+
+class TestWeightedGram:
+    @pytest.mark.parametrize("src,weight,dst,k_in,k_out", [
+        # mass shape: trial (g, b), test (b, g), weight (a, a)
+        ((0.6, 1.2), (1.8, 1.8), (1.2, 0.6), 24, 24),
+        # advection shape: test basis lowered by 1, one degree larger
+        ((0.6, 1.2), (0.8, 0.8), (0.2, -0.4), 24, 25),
+        # data truncation from a Chebyshev series, weight = test + data weight
+        ((-0.5, -0.5), (0.9, 0.6), (0.6, 0.3), 40, 16),
+        # ... with the weight 1.5 below the test basis (lowered in unit steps)
+        ((-0.5, -0.5), (-0.6, -0.6), (0.9, 0.9), 40, 16),
+        # src = weight = dst: the diagonal h^{weight}
+        ((0.4, 0.7), (0.4, 0.7), (0.4, 0.7), 12, 12),
+    ])
+    def test_matches_quadrature(self, src, weight, dst, k_in, k_out):
+        src, weight, dst = JacobiParams(*src), JacobiParams(*weight), JacobiParams(*dst)
+        gram = WeightedGram(ConversionCache(), src, weight, dst, k_in, k_out)
+        G = gram_oracle(src, weight, dst, k_in, k_out)
+        rng = np.random.default_rng(k_in + k_out)
+        for _ in range(3):
+            v = rng.standard_normal(k_in + 1)
+            out = gram(v)
+            assert out.shape == (k_out + 1,)
+            assert np.max(np.abs(out - G @ v)) < 1e-12 * np.max(np.abs(G @ v))
 
 
 class TestFactored:
