@@ -42,8 +42,7 @@ class ConfigError(Exception):
 
 _PROBLEM_KEYS = {"alpha", "theta", "lambda1", "lambda2", "gamma", "beta",
                  "f", "u_d", "data_regularity"}
-_SOLVER_KEYS = {"mode", "N", "Ns", "N_ref", "inner_max",
-                "outer_tol", "outer_max", "bootstrap_N"}
+_SOLVER_KEYS = {"mode", "N", "Ns", "N_ref", "inner_max", "outer_tol", "outer_max"}
 _OUTPUT_KEYS = {"format", "path"}
 _TOP_KEYS = {"problem", "solver", "output"}
 
@@ -129,7 +128,18 @@ def build_spec(cfg: RunConfig) -> ProblemSpec:
         alpha = float(p.get("alpha", 1.5))
         theta = float(p.get("theta", 0.5))
         beta = float(p.get("beta", 0.0))
+        lambda1 = float(p.get("lambda1", 1.0))
+        lambda2 = float(p.get("lambda2", 1.0))
+        gamma = float(p.get("gamma", 1.0))
+        if not gamma > 0:
+            raise ValueError(f"gamma must be positive, got {gamma}")
         pair = solve_sigma(theta, alpha)
+        if "data_regularity" in p:
+            r = float(p["data_regularity"])
+        elif beta != 0.0:
+            r = 2.0 * beta + min(pair.sigma, pair.sigma_star) + 1.0
+        else:
+            r = None
     except (TypeError, ValueError, ParameterDomainError) as exc:
         raise ConfigError(f"problem block: {exc}") from exc
     factor_f = _build_factor(p.get("f", "sin"), "problem.f")
@@ -140,16 +150,8 @@ def build_spec(cfg: RunConfig) -> ProblemSpec:
             return fun
         return SpectralFunction((beta, beta), fun.poly_params, fun.coeffs)
 
-    if "data_regularity" in p:
-        r = float(p["data_regularity"])
-    elif beta != 0.0:
-        r = 2.0 * beta + min(pair.sigma, pair.sigma_star) + 1.0
-    else:
-        r = None
     return ProblemSpec(
-        alpha=alpha, theta=theta,
-        lambda1=float(p.get("lambda1", 1.0)), lambda2=float(p.get("lambda2", 1.0)),
-        gamma=float(p.get("gamma", 1.0)),
+        alpha=alpha, theta=theta, lambda1=lambda1, lambda2=lambda2, gamma=gamma,
         f=weighted(factor_f), u_d=weighted(factor_ud),
         data_regularity=r,
     )
@@ -164,7 +166,6 @@ def build_solver_config(cfg: RunConfig, mode_override: str | None = None) -> Sol
             inner_max=int(s.get("inner_max", 400)),
             outer_tol=float(s.get("outer_tol", 1e-12)),
             outer_max=int(s.get("outer_max", 5000)),
-            bootstrap_N=int(s.get("bootstrap_N", 8)),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"solver block: {exc}") from exc

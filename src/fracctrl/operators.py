@@ -64,17 +64,20 @@ class FastOperatorApply:
         cache = cache or ConversionCache()
         P = JacobiParams
         self.S = stiffness_diagonal(N, pair)
-        self.mass = WeightedGram(cache, P(g, b), P(a, a), P(b, g), N, N)
-        self.weak_advection = WeightedGram(cache, P(g, b), P(a - 1, a - 1),
-                                           P(b - 1, g - 1), N, N + 1)
+        # a term with a zero coefficient builds no conversions
+        self.mass = (WeightedGram(cache, P(g, b), P(a, a), P(b, g), N, N)
+                     if lam2 != 0.0 else None)
+        self.weak_advection = (WeightedGram(cache, P(g, b), P(a - 1, a - 1),
+                                            P(b - 1, g - 1), N, N + 1)
+                               if lam1 != 0.0 else None)
         self._advection_rows = -(np.arange(N + 1) + 1.0)
 
     def __call__(self, U: np.ndarray) -> np.ndarray:
         out = self.S * U
-        if self.lam1 != 0.0:
+        if self.weak_advection is not None:
             # D U: drop the first row of the weak derivative, scale row n by -(n+1)
             out -= self.sgn * self.lam1 * self._advection_rows * self.weak_advection(U)[1:]
-        if self.lam2 != 0.0:
+        if self.mass is not None:
             out += self.lam2 * self.mass(U)
         return out
 

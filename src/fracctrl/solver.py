@@ -7,8 +7,9 @@ change of the control representation falls below the outer tolerance.
 The loop sees the two linear systems only as a pair of solve callables,
 made by one of the LINEAR_SOLVES builders: dense factorizations
 ("direct") or banded-preconditioned fixed-point iterations warm-started
-from the previous outer iterate ("fast").  A small-N direct bootstrap
-supplies the initial guess.
+from the previous outer iterate ("fast").  The loop stops with
+SolverError as soon as the average contraction of the control change
+shows that it cannot reach the tolerance within outer_max iterations.
 """
 
 from __future__ import annotations
@@ -60,15 +61,14 @@ class SolverConfig:
     inner_max: int = 400
     outer_tol: float = 1e-12
     outer_max: int = 5000
-    bootstrap_N: int = 8
 
     def __post_init__(self):
         if self.outer_tol <= 0:
             raise ValueError("outer_tol must be positive")
+        if self.N < 1 or self.outer_max < 1:
+            raise ValueError("N and outer_max must be at least 1")
         if self.mode not in LINEAR_SOLVES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.bootstrap_N > self.N:
-            self.bootstrap_N = self.N
 
 
 @dataclass(frozen=True)
@@ -144,6 +144,8 @@ def fixed_point_solve(apply_op, precond: BandedPreconditioner, rhs: np.ndarray,
     tol = config.outer_tol / 10 if tol is None else tol
     x = np.zeros_like(rhs) if x0 is None else x0.copy()
     nr = np.linalg.norm(rhs)
+    if not np.isfinite(nr):
+        raise SolverError(f"right-hand side norm is {nr}")
     if nr == 0.0:
         return np.zeros_like(rhs), 0, True
     best, best_x, stalled = np.inf, x, 0
@@ -196,19 +198,24 @@ def fast_linear_solves(N: int, pair: ExponentPair, spec: ProblemSpec,
 LINEAR_SOLVES = {"direct": direct_linear_solves, "fast": fast_linear_solves}
 
 
-def _outer_loop(solves, asm: RhsAssembler, gamma: float, tol: float, max_iter: int,
-                U0=None, Z0=None, stats: SolveStats | None = None):
+def _outer_loop(solves, asm: RhsAssembler, gamma: float, config: SolverConfig,
+                stats: SolveStats):
     """Run the projected-gradient outer loop with a (state_solve,
     adjoint_solve) pair from a LINEAR_SOLVES builder.  Each solve stops at
-    the relative residual max(1e-3 |b_k - b_{k-1}| / |b_k|, tol/10), b being
-    F or G and b_0 = 0: loose while b still moves, tol/10 once it settles."""
+    the relative residual max(1e-3 |b_k - b_{k-1}| / |b_k|, outer_tol/10),
+    b being F or G and b_0 = 0: loose while b still moves, outer_tol/10
+    once it settles.
+
+    From iteration k >= 2 it raises SolverError when the average contraction
+    rho = (change_k / change_1)^(1/(k-1)) of the sup-norm control change
+    (change_1 = |q_1|) is not below 1, or when k + log(outer_tol/err_k)/log(rho)
+    exceeds outer_max.  Returns (U, Z, iterations).
+    """
     state_solve, adjoint_solve = solves
-    N = asm.N
+    N, tol, max_iter = asm.N, config.outer_tol, config.outer_max
     q = project_control(np.zeros(N + 1), gamma, asm.pair)
     qvec = q.rep_vector()
-    U = np.zeros(N + 1) if U0 is None else U0
-    Z = np.zeros(N + 1) if Z0 is None else Z0
-    F_prev = G_prev = np.zeros(N + 1)
+    U = Z = F_prev = G_prev = np.zeros(N + 1)
 
     def solve_tol(b, b_prev):
         return max(1e-3 * np.linalg.norm(b - b_prev) / (np.linalg.norm(b) or 1.0), tol / 10)
@@ -221,52 +228,39 @@ def _outer_loop(solves, asm: RhsAssembler, gamma: float, tol: float, max_iter: i
         F_prev, G_prev = F, G
         q = project_control(Z, gamma, asm.pair)
         qnew = q.rep_vector()
+        change = np.max(np.abs(qnew - qvec))
         scale = np.max(np.abs(qvec))
-        err = np.max(np.abs(qnew - qvec)) / (scale if scale > 0 else 1.0)
-        if not np.isfinite(err):
-            raise SolverError(f"outer loop at N={N} diverged: relative control change "
-                              f"is {err} at iteration {it}")
+        err = change / (scale if scale > 0 else 1.0)
         qvec = qnew
-        if stats is not None:
-            stats.inner_iterations.append((iu, iz))
-            stats.residual_history.append(err)
-            stats.inner_converged = stats.inner_converged and cu and cz
+        stats.inner_iterations.append((iu, iz))
+        stats.residual_history.append(err)
+        stats.inner_converged = stats.inner_converged and cu and cz
         if err <= tol:
             return U, Z, it
+        if it == 1:
+            change_1 = change
+            continue
+        rho = (change / change_1) ** (1.0 / (it - 1))
+        if not rho < 1 or it + np.log(tol / err) / np.log(rho) > max_iter:
+            raise SolverError(f"outer loop at N={N} cannot converge: the control change "
+                              f"contracts by {rho:.3g} on average at iteration {it}")
     raise SolverError(f"outer loop failed to converge in {max_iter} iterations "
                       f"(last relative change {err:.3e})")
 
 
 def optimize(spec: ProblemSpec, config: SolverConfig,
              cache: ConversionCache | None = None) -> OptimalTriple:
-    """Full solve: direct bootstrap at bootstrap_N, then the outer loop at N
-    with the configured mode's linear solves, warm-started from the
-    zero-padded bootstrap."""
+    """Full solve: the outer loop at config.N from q = 0, U = Z = 0, with
+    the configured mode's linear solves."""
     t0 = time.perf_counter()
     pair = spec.exponent_pair()
     cache = cache or ConversionCache()
     stats = SolveStats()
     N = config.N
     g, b = pair.sigma, pair.sigma_star
-
-    U0 = Z0 = None
-    if config.bootstrap_N < N:
-        Nb = config.bootstrap_N
-        solves_b = direct_linear_solves(Nb, pair, spec, config, cache)
-        asm_b = RhsAssembler(Nb, pair, spec.f, spec.u_d, cache)
-        Ub, Zb, _ = _outer_loop(solves_b, asm_b, spec.gamma,
-                                tol=max(1e-10, config.outer_tol), max_iter=config.outer_max)
-        # The bootstrap warm-starts the inner (linear) solves only; the
-        # outer control iteration restarts from q = 0 so its count is the
-        # mesh-independent cold-start figure.
-        U0, Z0 = np.zeros(N + 1), np.zeros(N + 1)
-        U0[: Nb + 1], Z0[: Nb + 1] = Ub, Zb
-
     solves = LINEAR_SOLVES[config.mode](N, pair, spec, config, cache)
     asm = RhsAssembler(N, pair, spec.f, spec.u_d, cache)
-    U, Z, iters = _outer_loop(solves, asm, spec.gamma, tol=config.outer_tol,
-                              max_iter=config.outer_max, U0=U0, Z0=Z0, stats=stats)
-    stats.outer_iterations = iters
+    U, Z, stats.outer_iterations = _outer_loop(solves, asm, spec.gamma, config, stats)
     stats.wall_time = time.perf_counter() - t0
     u_fun = SpectralFunction((g, b), JacobiParams(g, b), U)
     z_fun = SpectralFunction((b, g), JacobiParams(b, g), Z)

@@ -137,9 +137,9 @@ def _closed_form_parts(k: int, g: float, s: float, b: float, head: int):
 class ConversionMatrix:
     """One-parameter Jacobi conversion in Factored (fast) form.
 
-    kind is "first" (change of the first weight exponent at fixed second)
-    or "second" (change of the second at fixed first; realized through the
-    reflection identity, which introduces (-1)^n sign diagonals).
+    It changes either the first weight exponent at fixed second, or the
+    second at fixed first; the latter is realized through the reflection
+    identity, which introduces (-1)^n sign diagonals.
     Coefficient vectors transform by apply(v, transpose=True); apply(v)
     multiplies by the connection matrix itself (polynomial-to-polynomial).
 
@@ -149,7 +149,6 @@ class ConversionMatrix:
     """
 
     k: int
-    kind: str
     from_params: JacobiParams
     to_params: JacobiParams
     _D1: np.ndarray = field(repr=False, default=None)
@@ -167,11 +166,11 @@ class ConversionMatrix:
         fg, fb = from_params.as_tuple()
         tg, tb = to_params.as_tuple()
         if fb == tb:
-            kind, g, s, b, sign = "first", fg, tg, fb, False
+            g, s, b, sign = fg, tg, fb, False
         elif fg == tg:
             # reflect x -> 1-x: second-parameter change becomes a first-
             # parameter change conjugated by (-1)^n diagonals
-            kind, g, s, b, sign = "second", fb, tb, fg, True
+            g, s, b, sign = fb, tb, fg, True
         else:
             raise TransformError(
                 f"conversion must change one parameter at a time: {from_params} -> {to_params}"
@@ -204,7 +203,7 @@ class ConversionMatrix:
         tpad_T[nfft - m + 1:] = t[1:m][::-1]
         that_T = rfft(tpad_T)
         return cls(
-            k=k, kind=kind, from_params=from_params, to_params=to_params,
+            k=k, from_params=from_params, to_params=to_params,
             _D1=D1, _D2=D2, _L=L, _that=that, _that_T=that_T, _col0=col0, _nfft=nfft,
         )
 

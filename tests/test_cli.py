@@ -60,9 +60,10 @@ class TestConfig:
         path = write_config(tmp_path, {"output": {"format": "csv", "verbosity": 2}})
         with pytest.raises(ConfigError, match=r"output\.verbosity at line 4, column 3"):
             load_config(path)
-        path = write_config(tmp_path, {"solver": {"N": 32, "inner_tol": 1e-14}})
-        with pytest.raises(ConfigError, match=r"solver\.inner_tol at line 4, column 3"):
-            load_config(path)
+        for key, value in (("inner_tol", 1e-14), ("bootstrap_N", 8)):
+            path = write_config(tmp_path, {"solver": {"N": 32, key: value}})
+            with pytest.raises(ConfigError, match=rf"solver\.{key} at line 4, column 3"):
+                load_config(path)
 
     def test_unknown_top_level_key(self, tmp_path):
         path = write_config(tmp_path, {"problems": {}})
@@ -117,11 +118,23 @@ class TestConfig:
         assert main(["solve", "--config", cfg]) == EXIT_CONFIG
         assert "problem.f" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("problem", [
+        {"gamma": "abc"}, {"gamma": 0}, {"gamma": -1.0}, {"lambda1": "abc"},
+        {"lambda2": [1]}, {"data_regularity": "abc"},
+    ], ids=["gamma-string", "gamma-zero", "gamma-negative", "lambda1-string",
+            "lambda2-list", "regularity-string"])
+    def test_bad_problem_value_exits_2(self, tmp_path, capsys, problem):
+        cfg = write_config(tmp_path, {"problem": problem,
+                                      "solver": {"N": 8, "mode": "direct"}})
+        assert main(["solve", "--config", cfg]) == EXIT_CONFIG
+        assert "problem block" in capsys.readouterr().err
+
     def test_build_solver_config(self):
         cfg = build_solver_config(RunConfig(solver={"N": 128, "mode": "direct"}))
         assert cfg.N == 128 and cfg.mode == "direct"
-        with pytest.raises(ConfigError):
-            build_solver_config(RunConfig(solver={"N": "many"}))
+        for bad in ({"N": "many"}, {"N": 0}, {"outer_max": 0}):
+            with pytest.raises(ConfigError):
+                build_solver_config(RunConfig(solver=bad))
 
 
 class TestSigmaTable:

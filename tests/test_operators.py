@@ -154,7 +154,8 @@ class TestFastApply:
                     assert np.max(np.abs(U - e)) < 1e-12
 
     def test_conversions_shared_and_no_identity(self, monkeypatch):
-        # A's mass routes are B's in reverse, and equal parameters take no step
+        # A's mass routes are B's in reverse, equal parameters take no step,
+        # and a term with a zero coefficient builds no conversion
         built = []
         build = ConversionMatrix.build.__func__
 
@@ -168,6 +169,9 @@ class TestFastApply:
         built.clear()
         assemble_fast(32, solve_sigma(1.0, 1.6), 1.0, 1.0)
         assert built and all(src != dst for src, dst in built)
+        built.clear()
+        assemble_fast(32, solve_sigma(0.7, 1.6), 0.0, 0.0)
+        assert not built
 
     def test_dense_mode_has_no_fast_transforms(self):
         # each set holds only its own form: factored applies or oracle matrices

@@ -1,6 +1,8 @@
 """Tests for the projected-gradient driver: inner fixed-point solves,
 control projection, and full optimize runs in both modes."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,17 @@ def example1_spec(alpha=1.4, theta=0.7, gamma=1.0):
     )
 
 
+def kkt_residuals(spec, triple, cache):
+    """|A U - F(q)|/|F| and |B Z - G(U)|/|G| against the dense oracle."""
+    N = len(triple.U.coeffs) - 1
+    dense = assemble_dense(N, triple.pair, spec.lambda1, spec.lambda2)
+    asm = RhsAssembler(N, triple.pair, spec.f, spec.u_d, cache)
+    F = asm.rhs_F(triple.q.constant_part, triple.q.z_part.coeffs, spec.gamma)
+    G = asm.rhs_G(triple.U.coeffs)
+    return (np.linalg.norm(dense.dense_A() @ triple.U.coeffs - F) / np.linalg.norm(F),
+            np.linalg.norm(dense.dense_B() @ triple.Z.coeffs - G) / np.linalg.norm(G))
+
+
 class TestConfig:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -40,10 +53,6 @@ class TestConfig:
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(ValueError):
             SolverConfig(outer_tol=-1e-12)
-
-    def test_bootstrap_clamped_to_n(self):
-        cfg = SolverConfig(N=4, bootstrap_N=8)
-        assert cfg.bootstrap_N == 4
 
 
 class TestProjectControl:
@@ -112,6 +121,15 @@ class TestFixedPoint:
             fast.apply_A, P, np.zeros(17), SolverConfig(N=16)
         )
         assert converged and iters == 0 and np.all(x == 0)
+
+    def test_nonfinite_rhs_norm_raises(self):
+        # finite entries whose norm overflows: the residual test inf <= inf
+        # must not pass for convergence
+        pair = solve_sigma(0.5, 1.5)
+        fast = assemble_fast(16, pair, 1.0, 1.0)
+        P, _ = build_preconditioners(fast)
+        with pytest.raises(SolverError, match="right-hand side norm is inf"):
+            fixed_point_solve(fast.apply_A, P, np.full(17, 1e300), SolverConfig(N=16))
 
     def test_divergence_detected(self):
         # an anti-preconditioner (wrong sign) makes the iteration blow up
@@ -186,22 +204,36 @@ class TestOptimize:
         ]
         assert abs(counts[0] - counts[1]) <= 2
 
-    @pytest.mark.parametrize("mode", ["direct", "fast"])
-    def test_nonfinite_control_change_fails_fast(self, mode):
-        # alpha near 1 with small gamma: the N=8 bootstrap overflows to NaN
-        # within a few hundred iterations; the loop stops there instead of
-        # running all of outer_max
-        spec = example1_spec(alpha=1.05, theta=0.7, gamma=0.1)
-        with pytest.raises(SolverError, match=r"control change is nan at iteration") as exc:
-            optimize(spec, SolverConfig(N=64, mode=mode))
-        assert int(str(exc.value).rsplit(" ", 1)[1]) < 1000
+    @pytest.mark.parametrize("mode, converged_at", [("direct", 135), ("fast", 134)],
+                             ids=["direct", "fast"])
+    def test_outer_budget_stops_divergence(self, mode, converged_at):
+        # small gamma: the projected gradient diverges (alpha 1.8, 1.05) or
+        # settles into a 2-cycle (alpha 1.2, gamma 0.2); the budget rule
+        # stops each run early, at the requested N, instead of returning
+        # overflowed values or running all of outer_max
+        cases = [(1.8, 0.001, 64, 2), (1.8, 0.001, 8, 2), (1.2, 0.2, 64, 20)]
+        if mode == "direct":  # fast mode's inner solve raises first here
+            cases.append((1.05, 0.1, 64, 2))
+        for alpha, gamma, N, last in cases:
+            spec = example1_spec(alpha=alpha, gamma=gamma)
+            with pytest.raises(SolverError, match=f"at N={N} cannot converge") as exc:
+                optimize(spec, SolverConfig(N=N, mode=mode))
+            it = int(re.search(r"at iteration (\d+)", str(exc.value)).group(1))
+            assert 2 <= it <= last
+        # just inside the threshold the loop still converges to the triple
+        spec = example1_spec(alpha=1.8, gamma=0.02)
+        cache = ConversionCache()
+        triple = optimize(spec, SolverConfig(N=64, mode=mode), cache=cache)
+        assert triple.stats.outer_iterations == converged_at
+        assert max(kkt_residuals(spec, triple, cache)) <= 1e-11
 
     def test_noncontracting_fixed_point_raises(self):
         # alpha near 1: the banded preconditioner no longer makes the inner
         # iteration contract; fast mode raises where direct mode converges
-        spec = example1_spec(alpha=1.15, theta=0.7)
-        with pytest.raises(SolverError, match="does not contract"):
-            optimize(spec, SolverConfig(N=64, mode="fast"))
+        # (alpha 1.15), and at gamma 0.1 before the outer loop's budget rule
+        for spec in (example1_spec(alpha=1.15), example1_spec(alpha=1.05, gamma=0.1)):
+            with pytest.raises(SolverError, match="does not contract"):
+                optimize(spec, SolverConfig(N=64, mode="fast"))
 
     @pytest.mark.parametrize("alpha, N", [(1.2, 64), (1.8, 64), (1.8, 256)])
     def test_kkt_residuals(self, alpha, N):
@@ -210,14 +242,7 @@ class TestOptimize:
         spec = example1_spec(alpha=alpha, theta=0.7)
         cache = ConversionCache()
         triple = optimize(spec, SolverConfig(N=N, mode="fast"), cache=cache)
-        dense = assemble_dense(N, triple.pair, spec.lambda1, spec.lambda2)
-        asm = RhsAssembler(N, triple.pair, spec.f, spec.u_d, cache)
-        F = asm.rhs_F(triple.q.constant_part, triple.q.z_part.coeffs, spec.gamma)
-        G = asm.rhs_G(triple.U.coeffs)
-        assert (np.linalg.norm(dense.dense_A() @ triple.U.coeffs - F)
-                <= 1e-11 * np.linalg.norm(F))
-        assert (np.linalg.norm(dense.dense_B() @ triple.Z.coeffs - G)
-                <= 1e-11 * np.linalg.norm(G))
+        assert max(kkt_residuals(spec, triple, cache)) <= 1e-11
 
     def test_diagnostic_mode_lambda1_zero(self):
         # lambda1 = 0 (no advection) is accepted for manufactured tests
