@@ -109,15 +109,33 @@ def weighted_error(p_N, p_ref, a: float, b: float,
     return float(np.sqrt(num / den))
 
 
+def _check_doubling(Ns):
+    for n1, n2 in zip(Ns, Ns[1:]):
+        if n2 != 2 * n1:
+            raise AnalysisError(f"Ns must double: {n1} -> {n2}")
+
+
+def study_truncations(Ns, N_ref: int) -> list[int]:
+    """Ns sorted, once checked to be a doubling list of N >= 1 with
+    N_ref >= 4*max(Ns); raises AnalysisError, before any solve runs."""
+    Ns = sorted(int(n) for n in Ns)
+    if not Ns:
+        raise AnalysisError("empty truncation list")
+    if Ns[0] < 1:
+        raise AnalysisError(f"Ns must be >= 1, got {Ns[0]}")
+    _check_doubling(Ns)
+    if N_ref < 4 * Ns[-1]:
+        raise AnalysisError(f"N_ref = {N_ref} must be >= 4*max(Ns) = {4 * Ns[-1]}")
+    return Ns
+
+
 def eoc(errors, Ns) -> list[float]:
     """Observed orders log2(E(N)/E(2N)) for a doubling sequence of Ns."""
     errors = list(errors)
     Ns = list(Ns)
     if len(errors) < 2 or len(errors) != len(Ns):
         raise AnalysisError("need at least two errors aligned with Ns")
-    for n1, n2 in zip(Ns, Ns[1:]):
-        if n2 != 2 * n1:
-            raise AnalysisError(f"Ns must double: {n1} -> {n2}")
+    _check_doubling(Ns)
     out = []
     for e1, e2 in zip(errors, errors[1:]):
         if not (np.isfinite(e1) and np.isfinite(e2)) or e1 <= 0 or e2 <= 0:
@@ -295,13 +313,7 @@ def convergence_study(spec: ProblemSpec, Ns, N_ref: int, config: SolverConfig,
                       use_cache: bool = True) -> ConvergenceReport:
     """Solve at each N against a (cached) reference at N_ref and tabulate
     errors, observed orders, iteration counts and wall times."""
-    Ns = sorted(int(n) for n in Ns)
-    if not Ns:
-        raise AnalysisError("empty truncation list")
-    if len(Ns) == 1 and Ns[0] == N_ref:
-        raise AnalysisError("degenerate study: Ns equals N_ref")
-    if N_ref < 4 * max(Ns):
-        raise AnalysisError(f"N_ref = {N_ref} must be >= 4*max(Ns) = {4 * max(Ns)}")
+    Ns = study_truncations(Ns, N_ref)
     pair = spec.exponent_pair()
     shared = ConversionCache()
     ref = reference_solve(spec, N_ref, config, use_cache=use_cache, cache=shared)

@@ -171,6 +171,28 @@ def build_solver_config(cfg: RunConfig, mode_override: str | None = None) -> Sol
         raise ConfigError(f"solver block: {exc}") from exc
 
 
+def _is_int(v) -> bool:
+    # bool is an int subclass but not a JSON number
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _study_truncations(cfg: RunConfig) -> tuple[list[int], int]:
+    """solver.Ns and solver.N_ref (default 4*max(Ns)), as
+    analysis.study_truncations accepts them."""
+    Ns = cfg.solver.get("Ns")
+    if not Ns:
+        raise ConfigError("study requires solver.Ns (a doubling list)")
+    if not isinstance(Ns, list) or not all(_is_int(n) for n in Ns):
+        raise ConfigError(f"solver block: Ns must be a list of integers, got {Ns!r}")
+    N_ref = cfg.solver.get("N_ref", 4 * max(Ns))
+    if not _is_int(N_ref):
+        raise ConfigError(f"solver block: N_ref must be an integer, got {N_ref!r}")
+    try:
+        return analysis.study_truncations(Ns, N_ref), N_ref
+    except analysis.AnalysisError as exc:
+        raise ConfigError(f"solver block: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # rendering
 
@@ -270,10 +292,7 @@ def cmd_study(args) -> int:
     cfg = load_config(args.config) if args.config else RunConfig()
     spec = build_spec(cfg)
     scfg = build_solver_config(cfg, mode_override=args.mode)
-    Ns = cfg.solver.get("Ns")
-    if not Ns:
-        raise ConfigError("study requires solver.Ns (a doubling list)")
-    N_ref = int(cfg.solver.get("N_ref", 4 * max(Ns)))
+    Ns, N_ref = _study_truncations(cfg)
     try:
         report = analysis.convergence_study(spec, Ns, N_ref, scfg,
                                             use_cache=not args.no_cache)

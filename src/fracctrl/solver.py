@@ -241,9 +241,16 @@ def _outer_loop(solves, asm: RhsAssembler, gamma: float, config: SolverConfig,
             change_1 = change
             continue
         rho = (change / change_1) ** (1.0 / (it - 1))
-        if not rho < 1 or it + np.log(tol / err) / np.log(rho) > max_iter:
+        if not rho < 1:
             raise SolverError(f"outer loop at N={N} cannot converge: the control change "
-                              f"contracts by {rho:.3g} on average at iteration {it}")
+                              f"grows by a factor {rho:.3g} per iteration on average "
+                              f"at iteration {it}")
+        needed = it + np.log(tol / err) / np.log(rho)
+        if needed > max_iter:
+            raise SolverError(f"outer loop at N={N} cannot converge: the control change "
+                              f"contracts by a factor {rho:.3g} per iteration on average "
+                              f"at iteration {it}, so it needs about {needed:.3g} "
+                              f"iterations against outer_max = {max_iter}")
     raise SolverError(f"outer loop failed to converge in {max_iter} iterations "
                       f"(last relative change {err:.3e})")
 

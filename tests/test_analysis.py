@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from fracctrl import analysis
 from fracctrl.analysis import (
     AnalysisError,
     ConvergenceReport,
@@ -256,13 +257,18 @@ class TestConvergenceStudy:
         for v in errs.values():
             assert v == 0.0
 
-    def test_bad_setups_rejected(self):
+    def test_bad_setups_rejected(self, monkeypatch):
         spec = example1_spec()
         cfg = SolverConfig(N=8, mode="direct")
-        with pytest.raises(AnalysisError):
-            convergence_study(spec, [], 64, cfg)
-        with pytest.raises(AnalysisError):
-            convergence_study(spec, [32], 64, cfg)  # N_ref < 4*max(Ns)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a bad study setup ran a solve")
+
+        # rejected before the reference solve, not after the whole study
+        monkeypatch.setattr(analysis, "reference_solve", no_solve)
+        for Ns, N_ref in (([], 64), ([32], 64), ([8, 24], 96), ([0, 0], 64), ([-8], 64)):
+            with pytest.raises(AnalysisError):
+                convergence_study(spec, Ns, N_ref, cfg)
 
     def test_cache_dir_env_override(self, tmp_path):
         assert cache_dir() == str(tmp_path / "cache")

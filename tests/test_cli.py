@@ -204,6 +204,17 @@ class TestStudyCommand:
         assert main(["study", "--config", cfg]) == EXIT_CONFIG
         assert "Ns" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("solver,key", [
+        ({"Ns": "abc"}, "Ns"), ({"Ns": [0, 0]}, "Ns"), ({"Ns": [8, True]}, "Ns"),
+        ({"Ns": [8, 24]}, "Ns"), ({"Ns": [8, 16], "N_ref": 0}, "N_ref"),
+        ({"Ns": [8, 16], "N_ref": "x"}, "N_ref"), ({"Ns": [8, 16], "N_ref": 63}, "N_ref"),
+    ], ids=["ns-string", "ns-zero", "ns-bool", "ns-not-doubling", "nref-zero",
+            "nref-string", "nref-small"])
+    def test_bad_study_value_exits_2(self, tmp_path, capsys, solver, key):
+        cfg = write_config(tmp_path, {"solver": {"mode": "direct", **solver}})
+        assert main(["study", "--config", cfg, "--no-cache"]) == EXIT_CONFIG
+        assert f"solver block: {key} " in capsys.readouterr().err
+
     def test_json_and_md_render(self, tmp_path):
         from fracctrl.analysis import convergence_study
         cfg = RunConfig(problem={"alpha": 1.8, "theta": 0.7})

@@ -210,13 +210,16 @@ class TestOptimize:
         # small gamma: the projected gradient diverges (alpha 1.8, 1.05) or
         # settles into a 2-cycle (alpha 1.2, gamma 0.2); the budget rule
         # stops each run early, at the requested N, instead of returning
-        # overflowed values or running all of outer_max
-        cases = [(1.8, 0.001, 64, 2), (1.8, 0.001, 8, 2), (1.2, 0.2, 64, 20)]
+        # overflowed values or running all of outer_max, and says which
+        grows, slow = "grows by", "contracts by .* against outer_max"
+        cases = [(1.8, 0.001, 64, 2, grows), (1.8, 0.001, 8, 2, grows),
+                 (1.2, 0.2, 64, 20, slow)]
         if mode == "direct":  # fast mode's inner solve raises first here
-            cases.append((1.05, 0.1, 64, 2))
-        for alpha, gamma, N, last in cases:
+            cases.append((1.05, 0.1, 64, 2, grows))
+        for alpha, gamma, N, last, why in cases:
             spec = example1_spec(alpha=alpha, gamma=gamma)
-            with pytest.raises(SolverError, match=f"at N={N} cannot converge") as exc:
+            with pytest.raises(SolverError,
+                               match=f"at N={N} cannot converge: the control change {why}") as exc:
                 optimize(spec, SolverConfig(N=N, mode=mode))
             it = int(re.search(r"at iteration (\d+)", str(exc.value)).group(1))
             assert 2 <= it <= last

@@ -138,6 +138,24 @@ class TestFactored:
         assert (np.max(np.abs(th.apply(v, transpose=True) - Cd.T @ v))
                 < 1e-12 * np.max(np.abs(Cd.T @ v)))
 
+    # 2m-1 = 9, 27, 81, 125 is itself 5-smooth, so the FFT length is exactly
+    # 2m-1 and the transposed symbol's wrapped tail leaves no zero slack
+    @pytest.mark.parametrize("m", [5, 14, 41, 63])
+    @pytest.mark.parametrize("src,dst,head,bound", [
+        ((0.7, 0.31), (1.4, 0.31), 0, 1e-10),
+        ((0.9, 0.3), (0.9, 1.8), 0, 1e-10),
+        ((-0.5, -0.5), (0.3, -0.5), 1, 1e-12),
+    ], ids=["first", "second", "split-head"])
+    def test_exact_fit_fft_length(self, m, src, dst, head, bound):
+        k = m - 1 + head
+        Cd = connection_dense(k, JacobiParams(*src), JacobiParams(*dst))
+        th = ConversionMatrix.build(k, JacobiParams(*src), JacobiParams(*dst))
+        assert th._nfft == 2 * m - 1
+        v = np.random.default_rng(k).standard_normal(k + 1)
+        assert np.max(np.abs(th.apply(v) - Cd @ v)) < bound * np.max(np.abs(Cd @ v))
+        assert (np.max(np.abs(th.apply(v, transpose=True) - Cd.T @ v))
+                < bound * np.max(np.abs(Cd.T @ v)))
+
     @pytest.mark.parametrize("second", [False, True])
     def test_decrease_bound(self, second):
         def params(g, b):
