@@ -157,23 +157,23 @@ def build_spec(cfg: RunConfig) -> ProblemSpec:
     )
 
 
-def build_solver_config(cfg: RunConfig, mode_override: str | None = None) -> SolverConfig:
-    s = cfg.solver
-    try:
-        return SolverConfig(
-            N=int(s.get("N", 64)),
-            mode=mode_override or s.get("mode", "fast"),
-            inner_max=int(s.get("inner_max", 400)),
-            outer_tol=float(s.get("outer_tol", 1e-12)),
-            outer_max=int(s.get("outer_max", 5000)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"solver block: {exc}") from exc
-
-
 def _is_int(v) -> bool:
     # bool is an int subclass but not a JSON number
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def build_solver_config(cfg: RunConfig, mode_override: str | None = None) -> SolverConfig:
+    s = cfg.solver
+    counts = {"N": s.get("N", 64), "inner_max": s.get("inner_max", 400),
+              "outer_max": s.get("outer_max", 5000)}
+    try:
+        for key, v in counts.items():
+            if not _is_int(v):
+                raise ValueError(f"{key} must be an integer, got {v!r}")
+        return SolverConfig(mode=mode_override or s.get("mode", "fast"),
+                            outer_tol=float(s.get("outer_tol", 1e-12)), **counts)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"solver block: {exc}") from exc
 
 
 def _study_truncations(cfg: RunConfig) -> tuple[list[int], int]:
@@ -196,6 +196,7 @@ def _study_truncations(cfg: RunConfig) -> tuple[list[int], int]:
 # ---------------------------------------------------------------------------
 # rendering
 
+FORMATS = ("csv", "json", "md")
 CSV_COLUMNS = ["alpha", "theta", "N", "err_u_weighted", "ord_u",
                "err_z_weighted", "ord_z", "err_q_weighted", "ord_q",
                "err_q_l2", "ord_q_l2", "iters", "seconds", "expected_order"]
@@ -293,13 +294,15 @@ def cmd_study(args) -> int:
     spec = build_spec(cfg)
     scfg = build_solver_config(cfg, mode_override=args.mode)
     Ns, N_ref = _study_truncations(cfg)
+    fmt = args.format or cfg.output.get("format", "csv")
+    if fmt not in FORMATS:  # checked before the study runs, not after
+        raise ConfigError(f"output block: unknown format {fmt!r}, expected one of {FORMATS}")
     try:
         report = analysis.convergence_study(spec, Ns, N_ref, scfg,
                                             use_cache=not args.no_cache)
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    fmt = args.format or cfg.output.get("format", "csv")
     _emit(render_report(report, fmt), args.out or cfg.output.get("path"))
     return EXIT_OK
 
@@ -357,7 +360,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=(name == "study"), default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--mode", choices=sorted(LINEAR_SOLVES), default=None)
-        p.add_argument("--format", choices=("csv", "json", "md"), default=None)
+        p.add_argument("--format", choices=FORMATS, default=None)
         p.add_argument("--no-cache", action="store_true")
         p.set_defaults(func=fn)
 

@@ -4,16 +4,16 @@ Outer loop (per iteration): solve the state system, solve the adjoint
 system, update the control by the pointwise projection
 q_new = max{0, zbar}/gamma - z/gamma, and stop when the relative sup-norm
 change of the control representation falls below the outer tolerance.
-The loop sees the two linear systems only as a pair of solve callables,
-made by one of the LINEAR_SOLVES builders: dense factorizations
-("direct") or banded-preconditioned fixed-point iterations warm-started
-from the previous outer iterate ("fast").  The loop stops with
-SolverError as soon as the average contraction of the control change
-shows that it cannot reach the tolerance within outer_max iterations.
+It sees the two linear systems only as a pair of solve callables from a
+LINEAR_SOLVES builder: dense factorizations ("direct") or GMRES with a
+banded preconditioner, warm-started from the last outer iterate ("fast").
+It raises SolverError as soon as the average contraction of the control
+change shows that it cannot reach the tolerance in outer_max iterations.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -21,19 +21,13 @@ import numpy as np
 
 from .fracparams import ExponentPair, solve_sigma
 from .jacobi import JacobiParams, jacobi_norm_sq
-from .operators import (
-    BandedPreconditioner,
-    OperatorSet,
-    RhsAssembler,
-    assemble_dense,
-    assemble_fast,
-    build_preconditioners,
-)
+from .operators import (BandedPreconditioner, OperatorSet, RhsAssembler, assemble_dense,
+                        assemble_fast, build_preconditioners)
 from .transforms import ConversionCache, SpectralFunction
 
 
 class SolverError(RuntimeError):
-    """Raised when an inner iteration does not contract or the outer loop fails."""
+    """Raised when an inner solve uses its budget or the outer loop fails."""
 
 
 @dataclass(frozen=True)
@@ -65,8 +59,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.outer_tol <= 0:
             raise ValueError("outer_tol must be positive")
-        if self.N < 1 or self.outer_max < 1:
-            raise ValueError("N and outer_max must be at least 1")
+        if self.N < 1 or self.inner_max < 1 or self.outer_max < 1:
+            raise ValueError("N, inner_max and outer_max must be at least 1")
         if self.mode not in LINEAR_SOLVES:
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -101,7 +95,6 @@ class SolveStats:
     inner_iterations: list = field(default_factory=list)
     residual_history: list = field(default_factory=list)
     wall_time: float = 0.0
-    inner_converged: bool = True
 
 
 @dataclass
@@ -113,56 +106,68 @@ class OptimalTriple:
     stats: SolveStats
 
 
+def _dense_solve(M: np.ndarray, b: np.ndarray, system: str) -> np.ndarray:
+    x = np.linalg.solve(M, b)
+    nb = np.linalg.norm(b)
+    if nb > 0 and np.linalg.norm(b - M @ x) > 1e-10 * nb:
+        raise SolverError(f"dense {system} solve residual too large")
+    return x
+
+
 def direct_solve_state(ops: OperatorSet, F: np.ndarray) -> np.ndarray:
-    A = ops.dense_A()
-    U = np.linalg.solve(A, F)
-    nF = np.linalg.norm(F)
-    if nF > 0 and np.linalg.norm(F - A @ U) > 1e-10 * nF:
-        raise SolverError("dense state solve residual too large")
-    return U
+    return _dense_solve(ops.dense_A(), F, "state")
 
 
 def direct_solve_adjoint(ops: OperatorSet, G: np.ndarray) -> np.ndarray:
-    B = ops.dense_B()
-    Z = np.linalg.solve(B, G)
-    nG = np.linalg.norm(G)
-    if nG > 0 and np.linalg.norm(G - B @ Z) > 1e-10 * nG:
-        raise SolverError("dense adjoint solve residual too large")
-    return Z
+    return _dense_solve(ops.dense_B(), G, "adjoint")
 
 
 def fixed_point_solve(apply_op, precond: BandedPreconditioner, rhs: np.ndarray,
                       config: SolverConfig, x0: np.ndarray | None = None,
                       tol: float | None = None):
-    """x <- x + P^{-1}(rhs - A x) until the relative residual meets tol
-    (default outer_tol/10).  Returns (x, iterations, converged).
-
-    After 12 steps without a 0.5% gain, or inner_max steps, it returns the
-    best iterate with converged=False if that is at the rounding floor
-    (relative residual <= 1e-10) and raises SolverError otherwise.
-    """
+    """Right-preconditioned GMRES without restarts (Saad & Schultz 1986):
+    x = x0 + P^{-1} V y minimizes |rhs - A x| over the Krylov space of
+    A P^{-1} and rhs - A x0, so any nonsingular P will do.  Returns (x,
+    iterations, True) at relative residual tol (default outer_tol/10) and
+    raises SolverError if min(inner_max, N+1) basis vectors fall short."""
     tol = config.outer_tol / 10 if tol is None else tol
-    x = np.zeros_like(rhs) if x0 is None else x0.copy()
-    nr = np.linalg.norm(rhs)
-    if not np.isfinite(nr):
+    nr = math.sqrt(rhs @ rhs)
+    if not math.isfinite(nr):
         raise SolverError(f"right-hand side norm is {nr}")
     if nr == 0.0:
         return np.zeros_like(rhs), 0, True
-    best, best_x, stalled = np.inf, x, 0
-    for it in range(config.inner_max + 1):
-        r = rhs - apply_op(x)
-        res = np.linalg.norm(r)
-        if res <= tol * nr:
-            return x, it, True
-        stalled = 0 if res <= 0.995 * best else stalled + 1
-        if res < best:
-            best, best_x = res, x.copy()
-        if stalled >= 12 or it == config.inner_max:
-            if best <= 1e-10 * nr:
-                return best_x, it, False
-            raise SolverError(f"fixed-point iteration does not contract: best relative "
-                              f"residual {best / nr:.3e} after {it} steps")
-        x = x + precond.solve(r)
+    x = np.zeros_like(rhs) if x0 is None else x0
+    r = rhs - apply_op(x)
+    g = [math.sqrt(r @ r)]  # |g[-1]| is the residual norm of the current x
+    m = min(config.inner_max, rhs.size)
+    V, Z = np.empty((2, min(m + 1, 8), rhs.size))  # rows of V and P^{-1} V, doubled when full
+    V[0] = r / (g[0] or 1.0)
+    rot, R, k = [], [], 0
+    while not abs(g[-1]) <= tol * nr:  # a NaN residual runs into the budget
+        if k == m:
+            raise SolverError(f"GMRES used its inner_max = {config.inner_max} budget ({m} "
+                              f"basis vectors) at relative residual {abs(g[-1]) / nr:.3e}")
+        Z[k] = precond.solve(V[k])
+        w = apply_op(Z[k])
+        h = V[:k + 1] @ w  # classical Gram-Schmidt, applied twice
+        w -= h @ V[:k + 1]
+        h2 = V[:k + 1] @ w
+        w -= h2 @ V[:k + 1]
+        col, hn = (h + h2).tolist(), math.sqrt(w @ w)
+        for i, (c, s) in enumerate(rot):  # the earlier Givens rotations
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+        R.append(col[:k] + [math.hypot(col[k], hn)])  # column k of the triangular factor
+        rot.append((col[k] / R[k][k], hn / R[k][k]))
+        g[k:] = rot[k][0] * g[k], -rot[k][1] * g[k]
+        if k + 1 == len(V):
+            V, Z = (np.concatenate([a, np.empty_like(a)]) for a in (V, Z))
+        V[k + 1] = w / (hn or 1.0)
+        k += 1
+    y = g[:k]  # R y = g by back substitution, column by column
+    for j in reversed(range(k)):
+        y[j] /= R[j][j]
+        y[:j] = [yi - y[j] * rij for yi, rij in zip(y[:j], R[j])]
+    return x + np.array(y) @ Z[:k], k, True
 
 
 def project_control(Z: np.ndarray, gamma: float, pair: ExponentPair) -> ControlFunction:
@@ -187,8 +192,8 @@ def direct_linear_solves(N: int, pair: ExponentPair, spec: ProblemSpec,
 
 def fast_linear_solves(N: int, pair: ExponentPair, spec: ProblemSpec,
                        config: SolverConfig, cache: ConversionCache):
-    """(state_solve, adjoint_solve) by preconditioned fixed-point iteration
-    on the factored applies, from x0 to the relative residual tol."""
+    """(state_solve, adjoint_solve) by GMRES on the factored applies,
+    right-preconditioned by P and Phat, from x0 to the relative residual tol."""
     ops = assemble_fast(N, pair, spec.lambda1, spec.lambda2, cache)
     P, Phat = build_preconditioners(ops)
     return (lambda F, x0, tol: fixed_point_solve(ops.apply_A, P, F, config, x0, tol),
@@ -209,7 +214,7 @@ def _outer_loop(solves, asm: RhsAssembler, gamma: float, config: SolverConfig,
     From iteration k >= 2 it raises SolverError when the average contraction
     rho = (change_k / change_1)^(1/(k-1)) of the sup-norm control change
     (change_1 = |q_1|) is not below 1, or when k + log(outer_tol/err_k)/log(rho)
-    exceeds outer_max.  Returns (U, Z, iterations).
+    exceeds outer_max.  Returns (U, q, iterations).
     """
     state_solve, adjoint_solve = solves
     N, tol, max_iter = asm.N, config.outer_tol, config.outer_max
@@ -222,21 +227,19 @@ def _outer_loop(solves, asm: RhsAssembler, gamma: float, config: SolverConfig,
 
     for it in range(1, max_iter + 1):
         F = asm.rhs_F(q.constant_part, q.z_part.coeffs, gamma)
-        U, iu, cu = state_solve(F, U, solve_tol(F, F_prev))
+        U, iu, _ = state_solve(F, U, solve_tol(F, F_prev))
         G = asm.rhs_G(U)
-        Z, iz, cz = adjoint_solve(G, Z, solve_tol(G, G_prev))
+        Z, iz, _ = adjoint_solve(G, Z, solve_tol(G, G_prev))
         F_prev, G_prev = F, G
         q = project_control(Z, gamma, asm.pair)
         qnew = q.rep_vector()
         change = np.max(np.abs(qnew - qvec))
-        scale = np.max(np.abs(qvec))
-        err = change / (scale if scale > 0 else 1.0)
+        err = change / (np.max(np.abs(qvec)) or 1.0)
         qvec = qnew
         stats.inner_iterations.append((iu, iz))
         stats.residual_history.append(err)
-        stats.inner_converged = stats.inner_converged and cu and cz
         if err <= tol:
-            return U, Z, it
+            return U, q, it
         if it == 1:
             change_1 = change
             continue
@@ -263,13 +266,10 @@ def optimize(spec: ProblemSpec, config: SolverConfig,
     pair = spec.exponent_pair()
     cache = cache or ConversionCache()
     stats = SolveStats()
-    N = config.N
-    g, b = pair.sigma, pair.sigma_star
-    solves = LINEAR_SOLVES[config.mode](N, pair, spec, config, cache)
-    asm = RhsAssembler(N, pair, spec.f, spec.u_d, cache)
-    U, Z, stats.outer_iterations = _outer_loop(solves, asm, spec.gamma, config, stats)
+    solves = LINEAR_SOLVES[config.mode](config.N, pair, spec, config, cache)
+    asm = RhsAssembler(config.N, pair, spec.f, spec.u_d, cache)
+    U, q, stats.outer_iterations = _outer_loop(solves, asm, spec.gamma, config, stats)
     stats.wall_time = time.perf_counter() - t0
-    u_fun = SpectralFunction((g, b), JacobiParams(g, b), U)
-    z_fun = SpectralFunction((b, g), JacobiParams(b, g), Z)
-    q_fun = project_control(Z, spec.gamma, pair)
-    return OptimalTriple(U=u_fun, Z=z_fun, q=q_fun, pair=pair, stats=stats)
+    g, b = pair.sigma, pair.sigma_star
+    return OptimalTriple(U=SpectralFunction((g, b), JacobiParams(g, b), U), Z=q.z_part,
+                         q=q, pair=pair, stats=stats)

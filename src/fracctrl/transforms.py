@@ -57,14 +57,6 @@ class SpectralFunction:
             v = (1.0 - x) ** a * x**b * v
         return v
 
-    def padded(self, n: int) -> "SpectralFunction":
-        """Zero-pad (or truncate-check) the coefficient vector to length n+1."""
-        if n + 1 < len(self.coeffs):
-            raise TransformError("cannot pad to a shorter vector")
-        c = np.zeros(n + 1)
-        c[: len(self.coeffs)] = self.coeffs
-        return SpectralFunction(self.weight_exponents, self.poly_params, c)
-
 
 def connection_dense(
     k: int, from_params: JacobiParams, to_params: JacobiParams

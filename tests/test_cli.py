@@ -132,9 +132,20 @@ class TestConfig:
     def test_build_solver_config(self):
         cfg = build_solver_config(RunConfig(solver={"N": 128, "mode": "direct"}))
         assert cfg.N == 128 and cfg.mode == "direct"
-        for bad in ({"N": "many"}, {"N": 0}, {"outer_max": 0}):
-            with pytest.raises(ConfigError):
+        for bad in ({"N": "many"}, {"N": 0}, {"outer_max": 0}, {"N": 8.7}, {"N": True},
+                    {"inner_max": 2.9}, {"outer_max": 3.5}, {"inner_max": -1},
+                    {"inner_max": 0}):
+            with pytest.raises(ConfigError, match="solver block"):
                 build_solver_config(RunConfig(solver=bad))
+
+    @pytest.mark.parametrize("solver", [
+        {"N": 8.7}, {"N": True}, {"inner_max": 2.9}, {"outer_max": 3.5}, {"inner_max": -1},
+    ], ids=["n-float", "n-bool", "inner-max-float", "outer-max-float", "inner-max-negative"])
+    def test_bad_solver_value_exits_2(self, tmp_path, capsys, solver):
+        # counts are JSON integers: a float or a bool is rejected, not truncated
+        cfg = write_config(tmp_path, {"solver": {"N": 8, "mode": "fast", **solver}})
+        assert main(["solve", "--config", cfg]) == EXIT_CONFIG
+        assert "solver block" in capsys.readouterr().err
 
 
 class TestSigmaTable:
@@ -214,6 +225,16 @@ class TestStudyCommand:
         cfg = write_config(tmp_path, {"solver": {"mode": "direct", **solver}})
         assert main(["study", "--config", cfg, "--no-cache"]) == EXIT_CONFIG
         assert f"solver block: {key} " in capsys.readouterr().err
+
+    def test_bad_format_rejected_before_solving(self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before the output format was checked")
+
+        monkeypatch.setattr("fracctrl.analysis.optimize", no_solve)
+        cfg = write_config(tmp_path, {"solver": {"Ns": [8, 16], "N_ref": 64, "mode": "direct"},
+                                      "output": {"format": "xlsx"}})
+        assert main(["study", "--config", cfg, "--no-cache"]) == EXIT_CONFIG
+        assert "output block: unknown format 'xlsx'" in capsys.readouterr().err
 
     def test_json_and_md_render(self, tmp_path):
         from fracctrl.analysis import convergence_study

@@ -1,4 +1,4 @@
-"""Tests for the projected-gradient driver: inner fixed-point solves,
+"""Tests for the projected-gradient driver: inner GMRES solves,
 control projection, and full optimize runs in both modes."""
 
 import re
@@ -131,15 +131,28 @@ class TestFixedPoint:
         with pytest.raises(SolverError, match="right-hand side norm is inf"):
             fixed_point_solve(fast.apply_A, P, np.full(17, 1e300), SolverConfig(N=16))
 
-    def test_divergence_detected(self):
-        # an anti-preconditioner (wrong sign) makes the iteration blow up
+    def test_anti_preconditioner_converges(self):
+        # GMRES needs only a nonsingular preconditioner: the wrong-signed,
+        # scaled -3P, which made the fixed point blow up, reaches the
+        # direct solution
         pair = solve_sigma(0.7, 1.4)
+        dense = assemble_dense(32, pair, 1.0, 1.0)
         fast = assemble_fast(32, pair, 1.0, 1.0)
         P, _ = build_preconditioners(fast)
         bad = type(P)(bands=-3.0 * P.bands)
         rhs = np.ones(33)
-        with pytest.raises(SolverError):
-            fixed_point_solve(fast.apply_A, bad, rhs, SolverConfig(N=32))
+        x, _, converged = fixed_point_solve(fast.apply_A, bad, rhs, SolverConfig(N=32))
+        U_direct = direct_solve_state(dense, rhs)
+        assert converged
+        assert np.linalg.norm(x - U_direct) <= 1e-10 * np.linalg.norm(U_direct)
+
+    def test_budget_exhausted_raises(self):
+        # alpha near 1 needs many more than 3 basis vectors
+        pair = solve_sigma(0.7, 1.15)
+        fast = assemble_fast(64, pair, 1.0, 1.0)
+        P, _ = build_preconditioners(fast)
+        with pytest.raises(SolverError, match=r"inner_max = 3 .* relative residual"):
+            fixed_point_solve(fast.apply_A, P, np.ones(65), SolverConfig(N=64, inner_max=3))
 
 
 class TestOptimize:
@@ -204,7 +217,7 @@ class TestOptimize:
         ]
         assert abs(counts[0] - counts[1]) <= 2
 
-    @pytest.mark.parametrize("mode, converged_at", [("direct", 135), ("fast", 134)],
+    @pytest.mark.parametrize("mode, converged_at", [("direct", 135), ("fast", 135)],
                              ids=["direct", "fast"])
     def test_outer_budget_stops_divergence(self, mode, converged_at):
         # small gamma: the projected gradient diverges (alpha 1.8, 1.05) or
@@ -213,9 +226,7 @@ class TestOptimize:
         # overflowed values or running all of outer_max, and says which
         grows, slow = "grows by", "contracts by .* against outer_max"
         cases = [(1.8, 0.001, 64, 2, grows), (1.8, 0.001, 8, 2, grows),
-                 (1.2, 0.2, 64, 20, slow)]
-        if mode == "direct":  # fast mode's inner solve raises first here
-            cases.append((1.05, 0.1, 64, 2, grows))
+                 (1.2, 0.2, 64, 20, slow), (1.05, 0.1, 64, 2, grows)]
         for alpha, gamma, N, last, why in cases:
             spec = example1_spec(alpha=alpha, gamma=gamma)
             with pytest.raises(SolverError,
@@ -230,13 +241,26 @@ class TestOptimize:
         assert triple.stats.outer_iterations == converged_at
         assert max(kkt_residuals(spec, triple, cache)) <= 1e-11
 
-    def test_noncontracting_fixed_point_raises(self):
-        # alpha near 1: the banded preconditioner no longer makes the inner
-        # iteration contract; fast mode raises where direct mode converges
-        # (alpha 1.15), and at gamma 0.1 before the outer loop's budget rule
-        for spec in (example1_spec(alpha=1.15), example1_spec(alpha=1.05, gamma=0.1)):
-            with pytest.raises(SolverError, match="does not contract"):
-                optimize(spec, SolverConfig(N=64, mode="fast"))
+    @pytest.mark.parametrize("alpha, gamma", [(1.15, 1.0), (1.1, 1.0), (1.05, 1.0),
+                                              (1.05, 0.1)])
+    def test_fast_matches_direct_near_alpha_one(self, alpha, gamma):
+        # near alpha = 1 fast mode has direct mode's outcome: both converge
+        # in the same outer count to the oracle's triple, or the projected
+        # gradient diverges in both and the budget rule stops both at the
+        # same iteration
+        spec = example1_spec(alpha=alpha, gamma=gamma)
+        cache = ConversionCache()
+        outcomes = []
+        for mode in ("direct", "fast"):
+            try:
+                triple = optimize(spec, SolverConfig(N=64, mode=mode), cache=cache)
+            except SolverError as exc:
+                assert "cannot converge" in str(exc)
+                outcomes.append(("raises at", re.search(r"at iteration (\d+)", str(exc))[1]))
+            else:
+                assert max(kkt_residuals(spec, triple, cache)) <= 1e-11
+                outcomes.append(("converges in", triple.stats.outer_iterations))
+        assert outcomes[0] == outcomes[1]
 
     @pytest.mark.parametrize("alpha, N", [(1.2, 64), (1.8, 64), (1.8, 256)])
     def test_kkt_residuals(self, alpha, N):
