@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .fracparams import ExponentPair, lambda_coeff
 from .jacobi import (JacobiParams, QuadratureRule, gauss_jacobi_rule, jacobi_matrix,
@@ -197,12 +197,23 @@ def advection_offdiagonals(N: int, pair: ExponentPair, rule: QuadratureRule,
 
 @dataclass
 class BandedPreconditioner:
-    """Tridiagonal P stored in scipy solve_banded (1,1) layout."""
+    """Tridiagonal P stored in scipy solve_banded (1,1) layout and
+    LU-factored once (LAPACK gttrf); each solve is one gttrs."""
 
     bands: np.ndarray  # shape (3, N+1): super, main, sub
+    _lu: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if not np.isfinite(self.bands).all():
+            raise AssemblyError("non-finite preconditioner bands")
+        sup, mid, sub = self.bands
+        *lu, info = dgttrf(sub[:-1], mid, sup[1:])
+        if info != 0:
+            raise AssemblyError(f"singular preconditioner: gttrf info {info}")
+        self._lu = tuple(lu)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        return solve_banded((1, 1), self.bands, r)
+        return dgttrs(*self._lu, r)[0]
 
 
 def build_preconditioners(ops: OperatorSet) -> tuple[BandedPreconditioner, BandedPreconditioner]:
@@ -222,8 +233,6 @@ def build_preconditioners(ops: OperatorSet) -> tuple[BandedPreconditioner, Bande
             bands[0, 1:] = sign * ops.lam1 * up[:-1]
             bands[2, :-1] = sign * ops.lam1 * lo[:-1]
         bands[1] = diag
-        if np.any(bands[1] == 0.0):
-            raise AssemblyError("singular preconditioner diagonal")
         out.append(BandedPreconditioner(bands))
     return out[0], out[1]
 

@@ -18,11 +18,12 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 
 from .fracparams import ExponentPair, solve_sigma
 from .jacobi import JacobiParams, jacobi_norm_sq
-from .operators import (BandedPreconditioner, OperatorSet, RhsAssembler, assemble_dense,
-                        assemble_fast, build_preconditioners)
+from .operators import (BandedPreconditioner, RhsAssembler, assemble_dense, assemble_fast,
+                        build_preconditioners)
 from .transforms import ConversionCache, SpectralFunction
 
 
@@ -106,20 +107,32 @@ class OptimalTriple:
     stats: SolveStats
 
 
-def _dense_solve(M: np.ndarray, b: np.ndarray, system: str) -> np.ndarray:
-    x = np.linalg.solve(M, b)
+@dataclass(frozen=True)
+class FactoredMatrix:
+    """A dense matrix with its LU factors, from scipy.linalg.lu_factor."""
+
+    matrix: np.ndarray
+    lu: tuple
+
+    @classmethod
+    def factor(cls, M: np.ndarray) -> "FactoredMatrix":
+        return cls(M, lu_factor(M, check_finite=False))
+
+
+def _dense_solve(A: FactoredMatrix, b: np.ndarray, system: str) -> np.ndarray:
+    x = lu_solve(A.lu, b, check_finite=False)
     nb = np.linalg.norm(b)
-    if nb > 0 and np.linalg.norm(b - M @ x) > 1e-10 * nb:
+    if nb > 0 and np.linalg.norm(b - A.matrix @ x) > 1e-10 * nb:
         raise SolverError(f"dense {system} solve residual too large")
     return x
 
 
-def direct_solve_state(ops: OperatorSet, F: np.ndarray) -> np.ndarray:
-    return _dense_solve(ops.dense_A(), F, "state")
+def direct_solve_state(A: FactoredMatrix, F: np.ndarray) -> np.ndarray:
+    return _dense_solve(A, F, "state")
 
 
-def direct_solve_adjoint(ops: OperatorSet, G: np.ndarray) -> np.ndarray:
-    return _dense_solve(ops.dense_B(), G, "adjoint")
+def direct_solve_adjoint(B: FactoredMatrix, G: np.ndarray) -> np.ndarray:
+    return _dense_solve(B, G, "adjoint")
 
 
 def fixed_point_solve(apply_op, precond: BandedPreconditioner, rhs: np.ndarray,
@@ -183,11 +196,16 @@ def project_control(Z: np.ndarray, gamma: float, pair: ExponentPair) -> ControlF
 
 def direct_linear_solves(N: int, pair: ExponentPair, spec: ProblemSpec,
                          config: SolverConfig, cache: ConversionCache):
-    """(state_solve, adjoint_solve) by dense factorization of the oracle
-    matrices; each maps (rhs, x0, tol) to (x, 0, True), ignoring x0 and tol."""
+    """(state_solve, adjoint_solve) on the oracle matrices A and B, formed
+    once from assemble_dense and LU-factored once each; every solve is one
+    pair of triangular solves.  Each maps (rhs, x0, tol) to (x, 0, True),
+    ignoring x0 and tol."""
     ops = assemble_dense(N, pair, spec.lambda1, spec.lambda2)
-    return (lambda F, x0, tol: (direct_solve_state(ops, F), 0, True),
-            lambda G, x0, tol: (direct_solve_adjoint(ops, G), 0, True))
+    A, B = ops.dense_A(), ops.dense_B()
+    del ops  # M, D and Dhat are not needed once A and B are formed
+    A, B = FactoredMatrix.factor(A), FactoredMatrix.factor(B)
+    return (lambda F, x0, tol: (direct_solve_state(A, F), 0, True),
+            lambda G, x0, tol: (direct_solve_adjoint(B, G), 0, True))
 
 
 def fast_linear_solves(N: int, pair: ExponentPair, spec: ProblemSpec,

@@ -1,6 +1,8 @@
 """Tests for the shifted Jacobi core: evaluation, norms, quadrature and
 the derivative identities behind the advection assembly."""
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from fracctrl.jacobi import (
     jacobi_matrix,
     jacobi_norm_sq,
     log_gamma_ratio,
+    orthonormal_rows,
 )
 
 PARAM_GRID = [(0.0, 0.0), (0.6, 0.6), (0.8829, 0.3171), (-0.4, -0.4)]
@@ -125,6 +128,37 @@ class TestQuadrature:
                     assert val == pytest.approx(h[n], rel=1e-12)
                 else:
                     assert abs(val) <= 1e-12 * max(1.0, h[min(m, n)])
+
+    @pytest.mark.parametrize("g,b", [(-0.6, -0.6), (-0.3, -0.9), (0.8, 0.8)])
+    def test_against_mpmath_integral(self, g, b):
+        # int_0^1 (1-x)^g x^b sin(x) Q_16^{0.9,0.9}(x) dx with 800 points
+        with mpmath.workdps(40):
+            exact = float(mpmath.quad(
+                lambda x: (1 - x) ** g * x ** b * mpmath.sin(x)
+                * mpmath.jacobi(16, 0.9, 0.9, 2 * x - 1), [0, 0.5, 1]))
+        rule = gauss_jacobi_rule(800, JacobiParams(g, b))
+        q16 = eval_jacobi(16, JacobiParams(0.9, 0.9), rule.nodes)
+        assert abs(rule.weights @ (np.sin(rule.nodes) * q16) - exact) <= 1e-12
+
+    @pytest.mark.parametrize("g,b", [(0.8, 0.8), (0.1, 1.2)])
+    def test_discrete_orthonormality_large(self, g, b):
+        # the rule's nodes and weights make p_0..p_{n-1} orthonormal:
+        # sum_j w_j p_k(t_j) p_l(t_j) = B(g+1, b+1) delta_kl
+        p, n = JacobiParams(g, b), 2051
+        rule = gauss_jacobi_rule(n, p)
+        V = np.array(list(orthonormal_rows(p, 2.0 * rule.nodes - 1.0, n - 1)))
+        gram = (V * (rule.weights / np.exp(betaln(g + 1, b + 1)))) @ V.T
+        assert np.max(np.abs(gram - np.eye(n))) <= 1e-11
+
+    def test_memory_linear_in_points(self):
+        # no (npts x npts) eigenvector matrix: that alone would be 33.6 MB
+        tracemalloc.start()
+        try:
+            gauss_jacobi_rule(2051, JacobiParams(0.8, 0.8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     def test_exactness_degree(self):
         # 6-point rule integrates Q_3*Q_5 (degree 8 <= 2*6-1) exactly

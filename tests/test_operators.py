@@ -14,6 +14,7 @@ from fracctrl.jacobi import (
 )
 from fracctrl.operators import (
     AssemblyError,
+    BandedPreconditioner,
     RhsAssembler,
     advection_offdiagonals,
     assemble_dense,
@@ -217,6 +218,15 @@ class TestPreconditioner:
             T = tridiagonal(pre)
             assert rel_err(T @ pre.solve(v), v) < 1e-12
             assert rel_err(pre.solve(T @ v), v) < 1e-12
+
+    def test_singular_or_nonfinite_rejected(self):
+        # [[1, 1, 0], [1, 1, 0], [0, 0, 1]]: two equal rows, so singular
+        bands = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(AssemblyError, match="singular"):
+            BandedPreconditioner(bands)
+        bands = np.array([[0.0, 1.0], [np.nan, 1.0], [1.0, 0.0]])
+        with pytest.raises(AssemblyError, match="non-finite"):
+            BandedPreconditioner(bands)
 
     def test_no_advection_is_diagonal(self):
         pair = solve_sigma(0.7, 1.4)

@@ -6,9 +6,11 @@ import re
 import numpy as np
 import pytest
 
+from fracctrl import solver
 from fracctrl.fracparams import solve_sigma
 from fracctrl.jacobi import JacobiParams, jacobi_norm_sq
 from fracctrl.operators import (
+    OperatorSet,
     RhsAssembler,
     assemble_dense,
     assemble_fast,
@@ -16,6 +18,7 @@ from fracctrl.operators import (
 )
 from fracctrl.solver import (
     ControlFunction,
+    FactoredMatrix,
     ProblemSpec,
     SolverConfig,
     SolverError,
@@ -105,7 +108,7 @@ class TestFixedPoint:
         P, _ = build_preconditioners(fast)
         asm = RhsAssembler(N, pair, chebyshev_expand(np.sin, M=64), None, cache)
         F = asm.rhs_F(0.0, np.zeros(N + 1), 1.0)
-        U_direct = direct_solve_state(dense, F)
+        U_direct = direct_solve_state(FactoredMatrix.factor(dense.dense_A()), F)
         U_fast, iters, converged = fixed_point_solve(
             fast.apply_A, P, F, SolverConfig(N=N)
         )
@@ -128,7 +131,8 @@ class TestFixedPoint:
         pair = solve_sigma(0.5, 1.5)
         fast = assemble_fast(16, pair, 1.0, 1.0)
         P, _ = build_preconditioners(fast)
-        with pytest.raises(SolverError, match="right-hand side norm is inf"):
+        with (pytest.raises(SolverError, match="right-hand side norm is inf"),
+              pytest.warns(RuntimeWarning, match="overflow")):
             fixed_point_solve(fast.apply_A, P, np.full(17, 1e300), SolverConfig(N=16))
 
     def test_anti_preconditioner_converges(self):
@@ -142,7 +146,7 @@ class TestFixedPoint:
         bad = type(P)(bands=-3.0 * P.bands)
         rhs = np.ones(33)
         x, _, converged = fixed_point_solve(fast.apply_A, bad, rhs, SolverConfig(N=32))
-        U_direct = direct_solve_state(dense, rhs)
+        U_direct = direct_solve_state(FactoredMatrix.factor(dense.dense_A()), rhs)
         assert converged
         assert np.linalg.norm(x - U_direct) <= 1e-10 * np.linalg.norm(U_direct)
 
@@ -166,6 +170,24 @@ class TestOptimize:
         assert t_direct.q.constant_part == pytest.approx(
             t_fast.q.constant_part, abs=1e-12
         )
+
+    def test_direct_mode_factors_once(self, monkeypatch):
+        # one optimize forms A and B once each and LU-factors each once,
+        # however many outer iterations its solves serve
+        calls = {"dense_A": 0, "dense_B": 0, "lu_factor": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("dense_A", "dense_B"):
+            monkeypatch.setattr(OperatorSet, name, counted(name, getattr(OperatorSet, name)))
+        monkeypatch.setattr(solver, "lu_factor", counted("lu_factor", solver.lu_factor))
+        triple = optimize(example1_spec(alpha=1.6), SolverConfig(N=32, mode="direct"))
+        assert triple.stats.outer_iterations >= 3
+        assert calls == {"dense_A": 1, "dense_B": 1, "lu_factor": 2}
 
     def test_optimality_identity_holds(self):
         # by construction gamma*q + z - max{0, integral z} = 0 pointwise
