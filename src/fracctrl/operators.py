@@ -137,10 +137,12 @@ def assemble_dense(N: int, pair: ExponentPair, lam1: float, lam2: float) -> Oper
     Eu = jacobi_matrix(N, JacobiParams(g, b), rule_m.nodes)
     Ev = jacobi_matrix(N, JacobiParams(b, g), rule_m.nodes)
     M = (Ev * rule_m.weights) @ Eu.T
+    del Eu, Ev  # each evaluation matrix is (N+1) x (N+3); free them before the next pair
     rule_d = gauss_jacobi_rule(N + 3, JacobiParams(a - 1, a - 1))
     Eu2 = jacobi_matrix(N, JacobiParams(g, b), rule_d.nodes)
     Et2 = jacobi_matrix(N + 1, JacobiParams(b - 1, g - 1), rule_d.nodes)
     D = -(nn[:, None] + 1) * ((Et2 * rule_d.weights) @ Eu2.T)[1:]
+    del Eu2, Et2
     Ev2 = jacobi_matrix(N, JacobiParams(b, g), rule_d.nodes)
     Eth2 = jacobi_matrix(N + 1, JacobiParams(g - 1, b - 1), rule_d.nodes)
     Dhat = -(nn[:, None] + 1) * ((Eth2[1:] * rule_d.weights) @ Ev2.T)

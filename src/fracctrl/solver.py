@@ -137,25 +137,33 @@ def direct_solve_adjoint(B: FactoredMatrix, G: np.ndarray) -> np.ndarray:
 
 def fixed_point_solve(apply_op, precond: BandedPreconditioner, rhs: np.ndarray,
                       config: SolverConfig, x0: np.ndarray | None = None,
-                      tol: float | None = None):
+                      Ax: np.ndarray | None = None, tol: float | None = None):
     """Right-preconditioned GMRES without restarts (Saad & Schultz 1986):
     x = x0 + P^{-1} V y minimizes |rhs - A x| over the Krylov space of
     A P^{-1} and rhs - A x0, so any nonsingular P will do.  Returns (x,
     iterations, True) at relative residual tol (default outer_tol/10) and
-    raises SolverError if min(inner_max, N+1) basis vectors fall short."""
+    raises SolverError if min(inner_max, N+1) basis vectors fall short.
+
+    A warm start x0 comes with Ax = A x0, so the solve applies A once per
+    iteration and never to x0; without x0 it starts from x = 0.  Ax, if
+    given, is updated in place to A x through the Arnoldi relation
+    A P^{-1} V_k = V_{k+1} Hbar_k."""
     tol = config.outer_tol / 10 if tol is None else tol
+    if x0 is not None and Ax is None:
+        raise ValueError("a warm start x0 needs Ax = A x0")
     nr = math.sqrt(rhs @ rhs)
     if not math.isfinite(nr):
         raise SolverError(f"right-hand side norm is {nr}")
     if nr == 0.0:
+        if Ax is not None:
+            Ax[:] = 0.0
         return np.zeros_like(rhs), 0, True
-    x = np.zeros_like(rhs) if x0 is None else x0
-    r = rhs - apply_op(x)
+    x, r = (np.zeros_like(rhs), rhs) if x0 is None else (x0, rhs - Ax)
     g = [math.sqrt(r @ r)]  # |g[-1]| is the residual norm of the current x
     m = min(config.inner_max, rhs.size)
     V, Z = np.empty((2, min(m + 1, 8), rhs.size))  # rows of V and P^{-1} V, doubled when full
     V[0] = r / (g[0] or 1.0)
-    rot, R, k = [], [], 0
+    H, rot, R, k = [], [], [], 0  # H holds the columns of Hbar before rotation
     while not abs(g[-1]) <= tol * nr:  # a NaN residual runs into the budget
         if k == m:
             raise SolverError(f"GMRES used its inner_max = {config.inner_max} budget ({m} "
@@ -167,6 +175,7 @@ def fixed_point_solve(apply_op, precond: BandedPreconditioner, rhs: np.ndarray,
         h2 = V[:k + 1] @ w
         w -= h2 @ V[:k + 1]
         col, hn = (h + h2).tolist(), math.sqrt(w @ w)
+        H.append(col + [hn])
         for i, (c, s) in enumerate(rot):  # the earlier Givens rotations
             col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
         R.append(col[:k] + [math.hypot(col[k], hn)])  # column k of the triangular factor
@@ -180,6 +189,11 @@ def fixed_point_solve(apply_op, precond: BandedPreconditioner, rhs: np.ndarray,
     for j in reversed(range(k)):
         y[j] /= R[j][j]
         y[:j] = [yi - y[j] * rij for yi, rij in zip(y[:j], R[j])]
+    if Ax is not None:  # A x = A x0 + V_{k+1} Hbar_k y, and A x0 = 0 without x0
+        Hbar = np.zeros((k + 1, k))
+        for j, hj in enumerate(H):
+            Hbar[:j + 2, j] = hj
+        Ax[:] = (Hbar @ y) @ V[:k + 1] + (0.0 if x0 is None else Ax)
     return x + np.array(y) @ Z[:k], k, True
 
 
@@ -198,24 +212,37 @@ def direct_linear_solves(N: int, pair: ExponentPair, spec: ProblemSpec,
                          config: SolverConfig, cache: ConversionCache):
     """(state_solve, adjoint_solve) on the oracle matrices A and B, formed
     once from assemble_dense and LU-factored once each; every solve is one
-    pair of triangular solves.  Each maps (rhs, x0, tol) to (x, 0, True),
-    ignoring x0 and tol."""
+    pair of triangular solves.  Each maps (rhs, tol) to (x, 0, True),
+    ignoring tol."""
     ops = assemble_dense(N, pair, spec.lambda1, spec.lambda2)
     A, B = ops.dense_A(), ops.dense_B()
     del ops  # M, D and Dhat are not needed once A and B are formed
     A, B = FactoredMatrix.factor(A), FactoredMatrix.factor(B)
-    return (lambda F, x0, tol: (direct_solve_state(A, F), 0, True),
-            lambda G, x0, tol: (direct_solve_adjoint(B, G), 0, True))
+    return (lambda F, tol: (direct_solve_state(A, F), 0, True),
+            lambda G, tol: (direct_solve_adjoint(B, G), 0, True))
 
 
 def fast_linear_solves(N: int, pair: ExponentPair, spec: ProblemSpec,
                        config: SolverConfig, cache: ConversionCache):
     """(state_solve, adjoint_solve) by GMRES on the factored applies,
-    right-preconditioned by P and Phat, from x0 to the relative residual tol."""
+    right-preconditioned by P and Phat, to the relative residual tol.  Each
+    solve is warm-started from its previous solution x and carries A x
+    with it, so a warm start costs no apply."""
     ops = assemble_fast(N, pair, spec.lambda1, spec.lambda2, cache)
     P, Phat = build_preconditioners(ops)
-    return (lambda F, x0, tol: fixed_point_solve(ops.apply_A, P, F, config, x0, tol),
-            lambda G, x0, tol: fixed_point_solve(ops.apply_B, Phat, G, config, x0, tol))
+
+    def warm_started(apply_op, precond):
+        x, Ax = None, np.zeros(N + 1)
+
+        def solve(rhs, tol):
+            nonlocal x
+            x, iterations, converged = fixed_point_solve(apply_op, precond, rhs, config,
+                                                         x, Ax, tol)
+            return x, iterations, converged
+
+        return solve
+
+    return warm_started(ops.apply_A, P), warm_started(ops.apply_B, Phat)
 
 
 LINEAR_SOLVES = {"direct": direct_linear_solves, "fast": fast_linear_solves}
@@ -238,16 +265,16 @@ def _outer_loop(solves, asm: RhsAssembler, gamma: float, config: SolverConfig,
     N, tol, max_iter = asm.N, config.outer_tol, config.outer_max
     q = project_control(np.zeros(N + 1), gamma, asm.pair)
     qvec = q.rep_vector()
-    U = Z = F_prev = G_prev = np.zeros(N + 1)
+    F_prev = G_prev = np.zeros(N + 1)
 
     def solve_tol(b, b_prev):
         return max(1e-3 * np.linalg.norm(b - b_prev) / (np.linalg.norm(b) or 1.0), tol / 10)
 
     for it in range(1, max_iter + 1):
         F = asm.rhs_F(q.constant_part, q.z_part.coeffs, gamma)
-        U, iu, _ = state_solve(F, U, solve_tol(F, F_prev))
+        U, iu, _ = state_solve(F, solve_tol(F, F_prev))
         G = asm.rhs_G(U)
-        Z, iz, _ = adjoint_solve(G, Z, solve_tol(G, G_prev))
+        Z, iz, _ = adjoint_solve(G, solve_tol(G, G_prev))
         F_prev, G_prev = F, G
         q = project_control(Z, gamma, asm.pair)
         qnew = q.rep_vector()

@@ -1,6 +1,8 @@
 """Tests for discrete-operator assembly: dense quadrature oracles, the
 fast transform-based applies, preconditioners, and right-hand sides."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import betaln
@@ -104,6 +106,21 @@ class TestDenseAssembly:
     def test_bad_truncation_rejected(self):
         with pytest.raises(AssemblyError):
             assemble_dense(0, solve_sigma(0.5, 1.5), 1.0, 1.0)
+
+    def test_peak_memory_frees_evaluation_matrices(self):
+        # each quadrature evaluation matrix is freed once its product is
+        # formed: at most two of them live next to M, D, Dhat and one
+        # product temporary (six in all; keeping all six reads ten)
+        N = 512
+        pair = solve_sigma(0.7, 1.8)
+        assemble_dense(8, pair, 1.0, 1.0)  # rules' one-off imports and caches
+        tracemalloc.start()
+        try:
+            assemble_dense(N, pair, 1.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (N + 1) * (N + 3) * 8
 
 
 class TestFastApply:

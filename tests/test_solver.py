@@ -120,10 +120,32 @@ class TestFixedPoint:
         pair = solve_sigma(0.5, 1.5)
         fast = assemble_fast(16, pair, 1.0, 1.0)
         P, _ = build_preconditioners(fast)
+        x0 = np.ones(17)
+        Ax = fast.apply_A(x0)
         x, iters, converged = fixed_point_solve(
-            fast.apply_A, P, np.zeros(17), SolverConfig(N=16)
+            fast.apply_A, P, np.zeros(17), SolverConfig(N=16), x0, Ax
         )
-        assert converged and iters == 0 and np.all(x == 0)
+        assert converged and iters == 0 and np.all(x == 0) and np.all(Ax == 0)
+
+    def test_carried_product_matches_apply(self):
+        # a chain of warm starts with moving right-hand sides, as in the
+        # outer loop: the carried A x stays A applied to the returned x
+        pair = solve_sigma(0.7, 1.8)
+        N = 64
+        fast = assemble_fast(N, pair, 1.0, 1.0)
+        P, _ = build_preconditioners(fast)
+        rng = np.random.default_rng(3)
+        base = rng.standard_normal(N + 1)
+        config = SolverConfig(N=N)
+        x, Ax = None, np.full(N + 1, np.nan)  # without x0 its entry value is unused
+        for step, tol in enumerate((1e-3, 1e-5, 1e-8, 1e-11, 1e-13)):
+            rhs = base + 10.0 ** -step * rng.standard_normal(N + 1)
+            x, iters, _ = fixed_point_solve(fast.apply_A, P, rhs, config, x, Ax, tol)
+            assert iters > 0
+            true = fast.apply_A(x)
+            assert np.linalg.norm(Ax - true) <= 1e-12 * np.linalg.norm(true)
+        with pytest.raises(ValueError, match="needs Ax"):
+            fixed_point_solve(fast.apply_A, P, base, config, x)
 
     def test_nonfinite_rhs_norm_raises(self):
         # finite entries whose norm overflows: the residual test inf <= inf
@@ -170,6 +192,19 @@ class TestOptimize:
         assert t_direct.q.constant_part == pytest.approx(
             t_fast.q.constant_part, abs=1e-12
         )
+
+    def test_fast_mode_one_apply_per_iteration(self, monkeypatch):
+        # warm starts carry A x, so no solve spends an apply on its initial
+        # residual: every apply_A / apply_B call is one GMRES iteration
+        calls = []
+        for name in ("apply_A", "apply_B"):
+            fn = getattr(OperatorSet, name)
+            monkeypatch.setattr(OperatorSet, name,
+                                lambda self, x, fn=fn: calls.append(1) or fn(self, x))
+        triple = optimize(example1_spec(alpha=1.8), SolverConfig(N=64, mode="fast"))
+        iterations = sum(iu + iz for iu, iz in triple.stats.inner_iterations)
+        assert triple.stats.outer_iterations == 8
+        assert len(calls) == iterations == 30
 
     def test_direct_mode_factors_once(self, monkeypatch):
         # one optimize forms A and B once each and LU-factors each once,
