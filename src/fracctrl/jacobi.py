@@ -32,9 +32,6 @@ class JacobiParams:
                 f"Jacobi parameters must exceed -1, got ({self.gamma}, {self.beta})"
             )
 
-    def swapped(self) -> "JacobiParams":
-        return JacobiParams(self.beta, self.gamma)
-
     def as_tuple(self) -> tuple[float, float]:
         return (self.gamma, self.beta)
 

@@ -1,8 +1,10 @@
 """Discrete optimality system: stiffness S (diagonal), mass M, advection
-D and Dhat, preconditioners, and right-hand-side assembly.
+D, preconditioners, and right-hand-side assembly.
 
-State system:    (S - lam1*D + lam2*M) U = F
-Adjoint system:  (S + lam1*Dhat + lam2*M^T) Z = G
+State system:    A U = F,  A = S - lam1*D + lam2*M
+Adjoint system:  B Z = G,  B = J A J, J = diag((-1)^n) = mirror(N): the
+                 adjoint equation is the state equation reflected by
+                 x -> 1-x, so only A is ever assembled
 
 Dense assembly via exact Gauss-Jacobi quadrature is the normative
 definition; the fast path applies the same operators in O(N log N) through
@@ -26,6 +28,14 @@ class AssemblyError(RuntimeError):
     """Raised when an operator or right-hand side cannot be assembled."""
 
 
+def mirror(N: int) -> np.ndarray:
+    """J = diag((-1)^n), n = 0..N: the reflection x -> 1-x in coefficient
+    space, since Q_n^{a,b}(1-x) = (-1)^n Q_n^{b,a}(x)."""
+    J = np.ones(N + 1)
+    J[1::2] = -1.0
+    return J
+
+
 def stiffness_diagonal(N: int, pair: ExponentPair) -> np.ndarray:
     """S_n = lambda_n * h_n^{sigma,sigma*}; strictly positive for alpha in (1,2).
 
@@ -43,24 +53,19 @@ def stiffness_diagonal(N: int, pair: ExponentPair) -> np.ndarray:
 
 
 class FastOperatorApply:
-    """O(N log N) application of S - sgn*lam1*D + lam2*M in the trial frame
-    with polynomial parameters (g, b).
+    """O(N log N) application of A = S - lam1*D + lam2*M in the trial frame
+    (g, b) = (sigma, sigma*).
 
     Mass and advection are weighted Grams of the trial series u against the
     test basis (b, g) and its lowered counterpart, one degree larger:
     (M U)_m = (u, Q_m^{b,g})_{w^{a,a}} and
     (D U)_m = -(m+1) (u, Q_{m+1}^{b-1,g-1})_{w^{a-1,a-1}}, a = alpha.
-    The state operator A uses (g, b) = (sigma, sigma*) and sgn = +1;
-    the adjoint operator B is the same construction with parameters
-    swapped and sgn = -1 (its advection enters with a plus sign and its
-    mass matrix is the transpose, which is the swapped-frame mass).
     """
 
-    def __init__(self, N: int, pair: ExponentPair, g: float, b: float, sgn: float,
-                 lam1: float, lam2: float, cache: ConversionCache | None = None):
-        self.sgn = sgn
+    def __init__(self, N: int, pair: ExponentPair, lam1: float, lam2: float,
+                 cache: ConversionCache | None = None):
         self.lam1, self.lam2 = lam1, lam2
-        a = pair.alpha
+        a, g, b = pair.alpha, pair.sigma, pair.sigma_star
         cache = cache or ConversionCache()
         P = JacobiParams
         self.S = stiffness_diagonal(N, pair)
@@ -76,7 +81,7 @@ class FastOperatorApply:
         out = self.S * U
         if self.weak_advection is not None:
             # D U: drop the first row of the weak derivative, scale row n by -(n+1)
-            out -= self.sgn * self.lam1 * self._advection_rows * self.weak_advection(U)[1:]
+            out -= self.lam1 * self._advection_rows * self.weak_advection(U)[1:]
         if self.mass is not None:
             out += self.lam2 * self.mass(U)
         return out
@@ -86,10 +91,11 @@ class FastOperatorApply:
 class OperatorSet:
     """The assembled discrete operators at truncation N.
 
-    assemble_dense fills the oracle matrices M, D, Dhat, which dense_A /
-    dense_B combine; assemble_fast fills the factored transforms behind
-    apply_A / apply_B.  Each accessor raises AssemblyError on a set built
-    without what it needs.
+    assemble_dense fills the oracle matrices M and D, which dense_A
+    combines; assemble_fast fills the factored transform behind apply_A.
+    The adjoint operator is never assembled: dense_B and apply_B are A
+    between two mirrors J.  Each accessor raises AssemblyError on a set
+    built without what it needs.
     """
 
     N: int
@@ -98,11 +104,10 @@ class OperatorSet:
     lam2: float
     S: np.ndarray
     Q_diag: np.ndarray
+    J: np.ndarray
     M: np.ndarray | None = None
     D: np.ndarray | None = None
-    Dhat: np.ndarray | None = None
     _fast_A: FastOperatorApply | None = field(default=None, repr=False)
-    _fast_B: FastOperatorApply | None = field(default=None, repr=False)
 
     def dense_A(self) -> np.ndarray:
         if self.D is None:
@@ -110,9 +115,7 @@ class OperatorSet:
         return np.diag(self.S) - self.lam1 * self.D + self.lam2 * self.M
 
     def dense_B(self) -> np.ndarray:
-        if self.Dhat is None:
-            raise AssemblyError("no dense matrices in an OperatorSet from assemble_fast")
-        return np.diag(self.S) + self.lam1 * self.Dhat + self.lam2 * self.M.T
+        return self.J[:, None] * self.dense_A() * self.J
 
     def apply_A(self, U: np.ndarray) -> np.ndarray:
         if self._fast_A is None:
@@ -120,13 +123,14 @@ class OperatorSet:
         return self._fast_A(U)
 
     def apply_B(self, Z: np.ndarray) -> np.ndarray:
-        if self._fast_B is None:
+        # _fast_A, not apply_A: one apply_B is one operator apply
+        if self._fast_A is None:
             raise AssemblyError("no factored applies in an OperatorSet from assemble_dense")
-        return self._fast_B(Z)
+        return self.J * self._fast_A(self.J * Z)
 
 
 def assemble_dense(N: int, pair: ExponentPair, lam1: float, lam2: float) -> OperatorSet:
-    """Exact quadrature assembly of S, M, D, Dhat."""
+    """Exact quadrature assembly of S, M and D."""
     if N < 1:
         raise AssemblyError("truncation must be >= 1")
     a = pair.alpha
@@ -142,13 +146,9 @@ def assemble_dense(N: int, pair: ExponentPair, lam1: float, lam2: float) -> Oper
     Eu2 = jacobi_matrix(N, JacobiParams(g, b), rule_d.nodes)
     Et2 = jacobi_matrix(N + 1, JacobiParams(b - 1, g - 1), rule_d.nodes)
     D = -(nn[:, None] + 1) * ((Et2 * rule_d.weights) @ Eu2.T)[1:]
-    del Eu2, Et2
-    Ev2 = jacobi_matrix(N, JacobiParams(b, g), rule_d.nodes)
-    Eth2 = jacobi_matrix(N + 1, JacobiParams(g - 1, b - 1), rule_d.nodes)
-    Dhat = -(nn[:, None] + 1) * ((Eth2[1:] * rule_d.weights) @ Ev2.T)
     return OperatorSet(
         N=N, pair=pair, lam1=lam1, lam2=lam2, S=S,
-        Q_diag=jacobi_norm_sq(nn, JacobiParams(a, a)), M=M, D=D, Dhat=Dhat,
+        Q_diag=jacobi_norm_sq(nn, JacobiParams(a, a)), J=mirror(N), M=M, D=D,
     )
 
 
@@ -157,27 +157,23 @@ def assemble_fast(N: int, pair: ExponentPair, lam1: float, lam2: float,
     """Factored-transform assembly; applies match dense to ~1e-12 relative."""
     if N < 1:
         raise AssemblyError("truncation must be >= 1")
-    cache = cache or ConversionCache()
-    g, b = pair.sigma, pair.sigma_star
-    fa = FastOperatorApply(N, pair, g, b, +1.0, lam1, lam2, cache)
-    fb = FastOperatorApply(N, pair, b, g, -1.0, lam1, lam2, cache)
+    fa = FastOperatorApply(N, pair, lam1, lam2, cache)
     return OperatorSet(
         N=N, pair=pair, lam1=lam1, lam2=lam2, S=fa.S,
         Q_diag=jacobi_norm_sq(np.arange(N + 1), JacobiParams(pair.alpha, pair.alpha)),
-        _fast_A=fa, _fast_B=fb,
+        J=mirror(N), _fast_A=fa,
     )
 
 
-def advection_offdiagonals(N: int, pair: ExponentPair, rule: QuadratureRule,
-                           adjoint: bool = False):
-    """First super- and sub-diagonal of D (or Dhat) by streaming quadrature
+def advection_offdiagonals(N: int, pair: ExponentPair, rule: QuadratureRule):
+    """First super- and sub-diagonal of D by streaming quadrature
     with `rule`, the (N+3)-point Gauss rule for weight (alpha-1, alpha-1).
 
     Returns (up, lo) with up[n] = D[n, n+1] for n = 0..N-1 and
     lo[n] = D[n+1, n] for n = 0..N-1 (index N entries are scratch).
     Memory O(npts); never materializes the dense matrix.
     """
-    g, b = (pair.sigma, pair.sigma_star) if not adjoint else (pair.sigma_star, pair.sigma)
+    g, b = pair.sigma, pair.sigma_star
     t = 2.0 * rule.nodes - 1.0
     w = rule.weights
     trial = jacobi_rows(JacobiParams(g, b), t)
@@ -219,24 +215,21 @@ class BandedPreconditioner:
 
 
 def build_preconditioners(ops: OperatorSet) -> tuple[BandedPreconditioner, BandedPreconditioner]:
-    """P = S - lam1*K + lam2*Q and Phat = S + lam1*Khat + lam2*Q, where
-    K / Khat carry only the first off-diagonals of D / Dhat and Q is the
-    diagonal of mass norms h_n^{alpha,alpha}.
+    """P = S - lam1*K + lam2*Q and its mirror Phat = J P J, where K carries
+    only the first off-diagonals of D and Q is the diagonal of mass norms
+    h_n^{alpha,alpha}.  D's bands are streamed once; Phat is P with its
+    off-diagonals negated.
     """
     N = ops.N
-    diag = ops.S + ops.lam2 * ops.Q_diag
-    a1 = ops.pair.alpha - 1
-    rule = gauss_jacobi_rule(N + 3, JacobiParams(a1, a1)) if ops.lam1 != 0.0 else None
-    out = []
-    for adjoint, sign in ((False, -1.0), (True, +1.0)):
-        bands = np.zeros((3, N + 1))
-        if rule is not None:
-            up, lo = advection_offdiagonals(N, ops.pair, rule, adjoint)
-            bands[0, 1:] = sign * ops.lam1 * up[:-1]
-            bands[2, :-1] = sign * ops.lam1 * lo[:-1]
-        bands[1] = diag
-        out.append(BandedPreconditioner(bands))
-    return out[0], out[1]
+    bands = np.zeros((3, N + 1))
+    if ops.lam1 != 0.0:
+        a1 = ops.pair.alpha - 1
+        rule = gauss_jacobi_rule(N + 3, JacobiParams(a1, a1))
+        up, lo = advection_offdiagonals(N, ops.pair, rule)
+        bands[0, 1:] = -ops.lam1 * up[:-1]
+        bands[2, :-1] = -ops.lam1 * lo[:-1]
+    bands[1] = ops.S + ops.lam2 * ops.Q_diag
+    return BandedPreconditioner(bands), BandedPreconditioner(bands * [[-1.0], [1.0], [-1.0]])
 
 
 class RhsAssembler:
@@ -247,9 +240,9 @@ class RhsAssembler:
     G_m = (u_N - u_d, Q_m^{s,s*})_{w^{s,s*}}
         = gram_u(U) - [data part, fixed]
 
-    gram_z is the (s*,s)-frame Gram matrix under weight w^{2s*,2s} and
-    gram_u its sigma-swapped counterpart; they and the data parts are
-    WeightedGram applies, O(N log N) each.
+    gram_z is the (s*,s)-frame Gram matrix under weight w^{2s*,2s}; it and
+    the data parts are WeightedGram applies, O(N log N) each.  gram_u, its
+    sigma-swapped counterpart, is gram_z between two mirrors J.
     """
 
     def __init__(self, N: int, pair: ExponentPair, f: SpectralFunction | None,
@@ -260,8 +253,8 @@ class RhsAssembler:
         cache = cache or ConversionCache()
         P = JacobiParams
         self.h0_zframe = float(jacobi_norm_sq(0, P(b, g)))
+        self.J = mirror(N)
         self.gram_z = WeightedGram(cache, P(b, g), P(2 * b, 2 * g), P(b, g), N, N)
-        self.gram_u = WeightedGram(cache, P(g, b), P(2 * g, 2 * b), P(g, b), N, N)
         self.F_data = self._project_data(f, P(b, g), cache) if f is not None else np.zeros(N + 1)
         self.G_data = (self._project_data(u_d, P(g, b), cache) if u_d is not None
                        else np.zeros(N + 1))
@@ -280,6 +273,9 @@ class RhsAssembler:
         if np.any(Zq):
             F -= self.gram_z(Zq) / gamma
         return F
+
+    def gram_u(self, U: np.ndarray) -> np.ndarray:
+        return self.J * self.gram_z(self.J * U)
 
     def rhs_G(self, U: np.ndarray) -> np.ndarray:
         return self.gram_u(U) - self.G_data

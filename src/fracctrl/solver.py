@@ -23,7 +23,7 @@ from scipy.linalg import lu_factor, lu_solve
 from .fracparams import ExponentPair, solve_sigma
 from .jacobi import JacobiParams, jacobi_norm_sq
 from .operators import (BandedPreconditioner, RhsAssembler, assemble_dense, assemble_fast,
-                        build_preconditioners)
+                        build_preconditioners, mirror)
 from .transforms import ConversionCache, SpectralFunction
 
 
@@ -131,8 +131,11 @@ def direct_solve_state(A: FactoredMatrix, F: np.ndarray) -> np.ndarray:
     return _dense_solve(A, F, "state")
 
 
-def direct_solve_adjoint(B: FactoredMatrix, G: np.ndarray) -> np.ndarray:
-    return _dense_solve(B, G, "adjoint")
+def direct_solve_adjoint(A: FactoredMatrix, G: np.ndarray) -> np.ndarray:
+    """B Z = G with B = J A J, through the factors of A; J is orthogonal,
+    so the residual checked is |G - B Z|."""
+    J = mirror(G.size - 1)
+    return J * _dense_solve(A, J * G, "adjoint")
 
 
 def fixed_point_solve(apply_op, precond: BandedPreconditioner, rhs: np.ndarray,
@@ -210,16 +213,14 @@ def project_control(Z: np.ndarray, gamma: float, pair: ExponentPair) -> ControlF
 
 def direct_linear_solves(N: int, pair: ExponentPair, spec: ProblemSpec,
                          config: SolverConfig, cache: ConversionCache):
-    """(state_solve, adjoint_solve) on the oracle matrices A and B, formed
-    once from assemble_dense and LU-factored once each; every solve is one
-    pair of triangular solves.  Each maps (rhs, tol) to (x, 0, True),
-    ignoring tol."""
-    ops = assemble_dense(N, pair, spec.lambda1, spec.lambda2)
-    A, B = ops.dense_A(), ops.dense_B()
-    del ops  # M, D and Dhat are not needed once A and B are formed
-    A, B = FactoredMatrix.factor(A), FactoredMatrix.factor(B)
+    """(state_solve, adjoint_solve) on the oracle matrix A, formed once from
+    assemble_dense and LU-factored once; the adjoint solve is the mirrored
+    state solve, B = J A J.  Every solve is one pair of triangular solves.
+    Each maps (rhs, tol) to (x, 0, True), ignoring tol."""
+    # the OperatorSet, and with it M and D, is freed before A is factored
+    A = FactoredMatrix.factor(assemble_dense(N, pair, spec.lambda1, spec.lambda2).dense_A())
     return (lambda F, tol: (direct_solve_state(A, F), 0, True),
-            lambda G, tol: (direct_solve_adjoint(B, G), 0, True))
+            lambda G, tol: (direct_solve_adjoint(A, G), 0, True))
 
 
 def fast_linear_solves(N: int, pair: ExponentPair, spec: ProblemSpec,

@@ -67,22 +67,14 @@ class TestDenseAssembly:
             float(jacobi_norm_sq(0, JacobiParams(pair.alpha, pair.alpha))), rel=1e-13
         )
 
-    def test_dhat_is_sigma_swapped_d(self):
-        pair = solve_sigma(0.7, 1.6)
-        ops = assemble_dense(24, pair, 1.0, 1.0)
-        ops_sw = assemble_dense(24, pair.swapped(), 1.0, 1.0)
-        assert np.allclose(ops.Dhat, ops_sw.D, rtol=0, atol=1e-12 * np.abs(ops.D).max())
-
-    def test_symmetric_case_dhat_equals_d(self):
-        pair = solve_sigma(0.5, 1.6)  # sigma == sigma*
-        ops = assemble_dense(24, pair, 1.0, 1.0)
-        assert np.allclose(ops.Dhat, ops.D, rtol=0, atol=1e-12 * np.abs(ops.D).max())
-
-    def test_adjoint_consistency_without_advection(self):
-        # with lambda1 = 0, B equals A assembled under the sigma swap
-        pair = solve_sigma(0.7, 1.8)
-        B = assemble_dense(20, pair, 0.0, 1.0).dense_B()
-        A_sw = assemble_dense(20, pair.swapped(), 0.0, 1.0).dense_A()
+    @pytest.mark.parametrize("lam1", [0.0, 1.0])
+    @pytest.mark.parametrize("theta,alpha", [(0.0, 1.3), (0.5, 1.6), (0.7, 1.8), (1.0, 1.4)])
+    def test_adjoint_consistency(self, theta, alpha, lam1):
+        # B = J A J equals A assembled by its own quadrature under the sigma
+        # swap (theta -> 1 - theta) with the advection sign flipped
+        pair = solve_sigma(theta, alpha)
+        B = assemble_dense(24, pair, lam1, 1.0).dense_B()
+        A_sw = assemble_dense(24, pair.swapped(), -lam1, 1.0).dense_A()
         assert np.allclose(B, A_sw, rtol=0, atol=1e-12 * np.abs(B).max())
 
     def test_weak_advection_identity(self):
@@ -109,8 +101,8 @@ class TestDenseAssembly:
 
     def test_peak_memory_frees_evaluation_matrices(self):
         # each quadrature evaluation matrix is freed once its product is
-        # formed: at most two of them live next to M, D, Dhat and one
-        # product temporary (six in all; keeping all six reads ten)
+        # formed, and no adjoint matrix is assembled: at most two of them
+        # live next to M, D and one product temporary (five in all)
         N = 512
         pair = solve_sigma(0.7, 1.8)
         assemble_dense(8, pair, 1.0, 1.0)  # rules' one-off imports and caches
@@ -120,7 +112,7 @@ class TestDenseAssembly:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * (N + 1) * (N + 3) * 8
+        assert peak < 5.5 * (N + 1) * (N + 3) * 8
 
 
 class TestFastApply:
@@ -172,8 +164,8 @@ class TestFastApply:
                     assert np.max(np.abs(U - e)) < 1e-12
 
     def test_conversions_shared_and_no_identity(self, monkeypatch):
-        # A's mass routes are B's in reverse, equal parameters take no step,
-        # and a term with a zero coefficient builds no conversion
+        # only A is assembled (B is its mirror), equal parameters take no
+        # step, and a term with a zero coefficient builds no conversion
         built = []
         build = ConversionMatrix.build.__func__
 
@@ -183,7 +175,10 @@ class TestFastApply:
 
         monkeypatch.setattr(ConversionMatrix, "build", classmethod(recording_build))
         assemble_fast(32, solve_sigma(0.7, 1.6), 1.0, 1.0)
-        assert len(built) == 12
+        assert len(built) == 8
+        built.clear()
+        RhsAssembler(32, solve_sigma(0.7, 1.6), None, None)  # gram_u is gram_z mirrored
+        assert len(built) == 2
         built.clear()
         assemble_fast(32, solve_sigma(1.0, 1.6), 1.0, 1.0)
         assert built and all(src != dst for src, dst in built)
@@ -210,10 +205,9 @@ class TestPreconditioner:
         N = 64
         ops = assemble_dense(N, pair, 1.0, 1.0)
         rule = gauss_jacobi_rule(N + 3, JacobiParams(pair.alpha - 1, pair.alpha - 1))
-        for adjoint, Dm in ((False, ops.D), (True, ops.Dhat)):
-            up, lo = advection_offdiagonals(N, pair, rule, adjoint=adjoint)
-            assert np.allclose(up[:-1], np.diag(Dm, 1), rtol=1e-12)
-            assert np.allclose(lo[:-1], np.diag(Dm, -1), rtol=1e-12)
+        up, lo = advection_offdiagonals(N, pair, rule)
+        assert np.allclose(up[:-1], np.diag(ops.D, 1), rtol=1e-12)
+        assert np.allclose(lo[:-1], np.diag(ops.D, -1), rtol=1e-12)
 
     def test_bands_match_dense_definition(self):
         pair = solve_sigma(0.7, 1.6)
@@ -224,6 +218,9 @@ class TestPreconditioner:
         rng = np.random.default_rng(0)
         v = rng.standard_normal(33)
         assert rel_err(tridiagonal(P) @ v, Pd @ v) < 1e-13
+        # Phat = J P J is P under the sigma swap with the advection sign flipped
+        P_sw, _ = build_preconditioners(assemble_dense(32, pair.swapped(), -1.0, 1.0))
+        assert rel_err(tridiagonal(Phat) @ v, tridiagonal(P_sw) @ v) < 1e-13
 
     def test_round_trip(self):
         pair = solve_sigma(0.5, 1.2)
