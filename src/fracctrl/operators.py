@@ -8,7 +8,9 @@ Adjoint system:  B Z = G,  B = J A J, J = diag((-1)^n) = mirror(N): the
 
 Dense assembly via exact Gauss-Jacobi quadrature is the normative
 definition; the fast path applies the same operators in O(N log N) through
-factored Jacobi conversions and is validated against the dense form.
+one weighted Gram of factored Jacobi conversions per apply (the mass term is
+three bands of the weak-advection Gram) and is validated against the dense
+form.
 """
 
 from __future__ import annotations
@@ -54,36 +56,45 @@ def stiffness_diagonal(N: int, pair: ExponentPair) -> np.ndarray:
 
 class FastOperatorApply:
     """O(N log N) application of A = S - lam1*D + lam2*M in the trial frame
-    (g, b) = (sigma, sigma*).
+    (g, b) = (sigma, sigma*), a = alpha.
 
-    Mass and advection are weighted Grams of the trial series u against the
-    test basis (b, g) and its lowered counterpart, one degree larger:
-    (M U)_m = (u, Q_m^{b,g})_{w^{a,a}} and
-    (D U)_m = -(m+1) (u, Q_{m+1}^{b-1,g-1})_{w^{a-1,a-1}}, a = alpha.
+    One weighted Gram of the trial series u against the lowered test basis,
+    W_m = (u, Q_m^{b-1,g-1})_{w^{a-1,a-1}} for m = 0..N+2, carries both
+    terms: (D U)_n = -(n+1) W_{n+1}, and since w^{a,a} = x(1-x) w^{a-1,a-1}
+    with x(1-x) Q_m^{b,g} = c0_m Q_m + c1_m Q_{m+1} + c2_m Q_{m+2} in
+    Q^{b-1,g-1} (DLMF 18.9.5-6), (M U)_m = c0_m W_m + c1_m W_{m+1} + c2_m W_{m+2}.
+    mass_bands holds (c0, c1, c2) for m = 0..N.
     """
 
     def __init__(self, N: int, pair: ExponentPair, lam1: float, lam2: float,
                  cache: ConversionCache | None = None):
         self.lam1, self.lam2 = lam1, lam2
         a, g, b = pair.alpha, pair.sigma, pair.sigma_star
-        cache = cache or ConversionCache()
         P = JacobiParams
         self.S = stiffness_diagonal(N, pair)
-        # a term with a zero coefficient builds no conversions
-        self.mass = (WeightedGram(cache, P(g, b), P(a, a), P(b, g), N, N)
-                     if lam2 != 0.0 else None)
-        self.weak_advection = (WeightedGram(cache, P(g, b), P(a - 1, a - 1),
-                                            P(b - 1, g - 1), N, N + 1)
-                               if lam1 != 0.0 else None)
-        self._advection_rows = -(np.arange(N + 1) + 1.0)
+        # with lam1 = lam2 = 0, A = S: no Gram, so no conversions
+        self.gram = (WeightedGram(cache or ConversionCache(), P(g, b), P(a - 1, a - 1),
+                                  P(b - 1, g - 1), N, N + 2)
+                     if lam1 != 0.0 or lam2 != 0.0 else None)
+        m = np.arange(N + 2.0)
+        # (1-t) Q_m^{b,g} = a0 Q_m^{b-1,g} + a1 Q_{m+1}^{b-1,g}, t = 2x-1;
+        # (1+t) Q_n^{b-1,g} = e0(n) Q_n^{b-1,g-1} + e1(n) Q_{n+1}^{b-1,g-1}
+        a0 = 2 * (m[:-1] + b) / (2 * m[:-1] + b + g + 1)
+        a1 = -2 * (m[:-1] + 1) / (2 * m[:-1] + b + g + 1)
+        e0 = 2 * (m + g) / (2 * m + b + g)
+        e1 = 2 * (m + 1) / (2 * m + b + g)
+        self.mass_bands = (a0 * e0[:-1] / 4, (a0 * e1[:-1] + a1 * e0[1:]) / 4,
+                            a1 * e1[1:] / 4)
+        self._advection_rows = -(m[:-1] + 1)
 
     def __call__(self, U: np.ndarray) -> np.ndarray:
         out = self.S * U
-        if self.weak_advection is not None:
+        if self.gram is not None:
+            W = self.gram(U)
+            c0, c1, c2 = self.mass_bands
             # D U: drop the first row of the weak derivative, scale row n by -(n+1)
-            out -= self.lam1 * self._advection_rows * self.weak_advection(U)[1:]
-        if self.mass is not None:
-            out += self.lam2 * self.mass(U)
+            out += (self.lam2 * (c0 * W[:-2] + c1 * W[1:-1] + c2 * W[2:])
+                    - self.lam1 * self._advection_rows * W[1:-1])
         return out
 
 
@@ -103,7 +114,6 @@ class OperatorSet:
     lam1: float
     lam2: float
     S: np.ndarray
-    Q_diag: np.ndarray
     J: np.ndarray
     M: np.ndarray | None = None
     D: np.ndarray | None = None
@@ -146,10 +156,7 @@ def assemble_dense(N: int, pair: ExponentPair, lam1: float, lam2: float) -> Oper
     Eu2 = jacobi_matrix(N, JacobiParams(g, b), rule_d.nodes)
     Et2 = jacobi_matrix(N + 1, JacobiParams(b - 1, g - 1), rule_d.nodes)
     D = -(nn[:, None] + 1) * ((Et2 * rule_d.weights) @ Eu2.T)[1:]
-    return OperatorSet(
-        N=N, pair=pair, lam1=lam1, lam2=lam2, S=S,
-        Q_diag=jacobi_norm_sq(nn, JacobiParams(a, a)), J=mirror(N), M=M, D=D,
-    )
+    return OperatorSet(N=N, pair=pair, lam1=lam1, lam2=lam2, S=S, J=mirror(N), M=M, D=D)
 
 
 def assemble_fast(N: int, pair: ExponentPair, lam1: float, lam2: float,
@@ -158,11 +165,7 @@ def assemble_fast(N: int, pair: ExponentPair, lam1: float, lam2: float,
     if N < 1:
         raise AssemblyError("truncation must be >= 1")
     fa = FastOperatorApply(N, pair, lam1, lam2, cache)
-    return OperatorSet(
-        N=N, pair=pair, lam1=lam1, lam2=lam2, S=fa.S,
-        Q_diag=jacobi_norm_sq(np.arange(N + 1), JacobiParams(pair.alpha, pair.alpha)),
-        J=mirror(N), _fast_A=fa,
-    )
+    return OperatorSet(N=N, pair=pair, lam1=lam1, lam2=lam2, S=fa.S, J=mirror(N), _fast_A=fa)
 
 
 def advection_offdiagonals(N: int, pair: ExponentPair, rule: QuadratureRule):
@@ -220,15 +223,14 @@ def build_preconditioners(ops: OperatorSet) -> tuple[BandedPreconditioner, Bande
     h_n^{alpha,alpha}.  D's bands are streamed once; Phat is P with its
     off-diagonals negated.
     """
-    N = ops.N
+    N, a = ops.N, ops.pair.alpha
     bands = np.zeros((3, N + 1))
     if ops.lam1 != 0.0:
-        a1 = ops.pair.alpha - 1
-        rule = gauss_jacobi_rule(N + 3, JacobiParams(a1, a1))
+        rule = gauss_jacobi_rule(N + 3, JacobiParams(a - 1, a - 1))
         up, lo = advection_offdiagonals(N, ops.pair, rule)
         bands[0, 1:] = -ops.lam1 * up[:-1]
         bands[2, :-1] = -ops.lam1 * lo[:-1]
-    bands[1] = ops.S + ops.lam2 * ops.Q_diag
+    bands[1] = ops.S + ops.lam2 * jacobi_norm_sq(np.arange(N + 1), JacobiParams(a, a))
     return BandedPreconditioner(bands), BandedPreconditioner(bands * [[-1.0], [1.0], [-1.0]])
 
 

@@ -17,6 +17,7 @@ from fracctrl.jacobi import (
 from fracctrl.operators import (
     AssemblyError,
     BandedPreconditioner,
+    FastOperatorApply,
     RhsAssembler,
     advection_offdiagonals,
     assemble_dense,
@@ -33,6 +34,9 @@ from fracctrl.transforms import (
 )
 
 PAIRS = [(0.5, 1.6), (0.7, 1.2), (1.0, 1.8)]
+# alpha near 1, where the weak-advection Gram loses digits, and away from it
+ORACLE_GRID = [(theta, alpha) for alpha in (1.01, 1.05, 1.5, 1.99)
+               for theta in (0.0, 0.3, 0.5, 1.0)]
 
 
 def rel_err(a, b):
@@ -131,6 +135,33 @@ class TestFastApply:
             assert rel_err(fast.apply_A(v), A @ v) < 1e-10
             assert rel_err(fast.apply_B(v), B @ v) < 1e-10
 
+    @pytest.mark.parametrize("theta,alpha", ORACLE_GRID)
+    def test_mass_only_matches_dense(self, theta, alpha):
+        # lam1 = 0: the mass term alone, read off the weak-advection Gram
+        N = 512
+        pair = solve_sigma(theta, alpha)
+        A = assemble_dense(N, pair, 0.0, 1.0).dense_A()
+        fast = assemble_fast(N, pair, 0.0, 1.0)
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            v = rng.standard_normal(N + 1)
+            assert rel_err(fast.apply_A(v), A @ v) < 1e-10
+
+    @pytest.mark.parametrize("theta,alpha", [(0.0, 1.3), (0.7, 1.01), (0.5, 1.6), (1.0, 1.99)])
+    def test_mass_three_term_identity(self, theta, alpha):
+        # x(1-x) Q_m^{b,g} = c0 Q_m + c1 Q_{m+1} + c2 Q_{m+2} in Q^{b-1,g-1}
+        pair = solve_sigma(theta, alpha)
+        g, b = pair.sigma, pair.sigma_star
+        N = 40
+        c0, c1, c2 = FastOperatorApply(N, pair, 0.0, 0.0).mass_bands
+        x = np.linspace(0.0, 1.0, 50)
+        hi = jacobi_matrix(N, JacobiParams(b, g), x)
+        lo = jacobi_matrix(N + 2, JacobiParams(b - 1, g - 1), x)
+        lhs = x * (1 - x) * hi
+        rhs = c0[:, None] * lo[:-2] + c1[:, None] * lo[1:-1] + c2[:, None] * lo[2:]
+        scale = np.abs(lhs).max(axis=1, keepdims=True)
+        assert np.max(np.abs(lhs - rhs) / scale) < 1e-13
+
     def test_zero_vector(self):
         pair = solve_sigma(0.7, 1.4)
         fast = assemble_fast(16, pair, 1.0, 1.0)
@@ -175,7 +206,7 @@ class TestFastApply:
 
         monkeypatch.setattr(ConversionMatrix, "build", classmethod(recording_build))
         assemble_fast(32, solve_sigma(0.7, 1.6), 1.0, 1.0)
-        assert len(built) == 8
+        assert len(built) == 4  # one Gram: two conversions out, two back
         built.clear()
         RhsAssembler(32, solve_sigma(0.7, 1.6), None, None)  # gram_u is gram_z mirrored
         assert len(built) == 2
@@ -185,6 +216,24 @@ class TestFastApply:
         built.clear()
         assemble_fast(32, solve_sigma(0.7, 1.6), 0.0, 0.0)
         assert not built
+
+    def test_one_gram_per_apply(self, monkeypatch):
+        # mass and advection share one Gram: four conversion applies per
+        # apply_A, and apply_B is the same apply between two mirrors
+        fast = assemble_fast(32, solve_sigma(0.7, 1.8), 1.0, 1.0)
+        calls = []
+        apply = ConversionMatrix.apply
+
+        def counting_apply(self, v, transpose=False):
+            calls.append(transpose)
+            return apply(self, v, transpose)
+
+        monkeypatch.setattr(ConversionMatrix, "apply", counting_apply)
+        v = np.random.default_rng(2).standard_normal(33)
+        for op in (fast.apply_A, fast.apply_B):
+            calls.clear()
+            op(v)
+            assert len(calls) == 4
 
     def test_dense_mode_has_no_fast_transforms(self):
         # each set holds only its own form: factored applies or oracle matrices
@@ -214,7 +263,8 @@ class TestPreconditioner:
         ops = assemble_dense(32, pair, 1.0, 1.0)
         P, Phat = build_preconditioners(ops)
         K = np.diag(np.diag(ops.D, 1), 1) + np.diag(np.diag(ops.D, -1), -1)
-        Pd = np.diag(ops.S) - ops.lam1 * K + ops.lam2 * np.diag(ops.Q_diag)
+        Q = jacobi_norm_sq(np.arange(33), JacobiParams(pair.alpha, pair.alpha))
+        Pd = np.diag(ops.S) - ops.lam1 * K + ops.lam2 * np.diag(Q)
         rng = np.random.default_rng(0)
         v = rng.standard_normal(33)
         assert rel_err(tridiagonal(P) @ v, Pd @ v) < 1e-13
@@ -247,7 +297,8 @@ class TestPreconditioner:
         ops = assemble_fast(16, pair, 0.0, 1.0)
         P, _ = build_preconditioners(ops)
         assert np.all(P.bands[0] == 0) and np.all(P.bands[2] == 0)
-        assert np.allclose(P.bands[1], ops.S + ops.Q_diag)
+        Q = jacobi_norm_sq(np.arange(17), JacobiParams(pair.alpha, pair.alpha))
+        assert np.allclose(P.bands[1], ops.S + Q)
 
 
 def quadrature_rhs_oracle(fun_vals_weighted, test, N, weight, npts=800):
