@@ -6,7 +6,7 @@ q_new = max{0, zbar}/gamma - z/gamma, and stop when the relative sup-norm
 change of the control representation falls below the outer tolerance.
 It sees the two linear systems only as a pair of solve callables from a
 LINEAR_SOLVES builder: dense factorizations ("direct") or GMRES with a
-banded preconditioner, warm-started from the last outer iterate ("fast").
+block preconditioner, warm-started from the last outer iterate ("fast").
 It raises SolverError as soon as the average contraction of the control
 change shows that it cannot reach the tolerance in outer_max iterations.
 """
@@ -22,8 +22,8 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .fracparams import ExponentPair, solve_sigma
 from .jacobi import JacobiParams, jacobi_norm_sq
-from .operators import (BandedPreconditioner, RhsAssembler, assemble_dense, assemble_fast,
-                        build_preconditioners, mirror)
+from .operators import (RhsAssembler, assemble_dense, assemble_fast, build_preconditioners,
+                        mirror)
 from .transforms import ConversionCache, SpectralFunction
 
 
@@ -138,12 +138,13 @@ def direct_solve_adjoint(A: FactoredMatrix, G: np.ndarray) -> np.ndarray:
     return J * _dense_solve(A, J * G, "adjoint")
 
 
-def fixed_point_solve(apply_op, precond: BandedPreconditioner, rhs: np.ndarray,
+def fixed_point_solve(apply_op, precond, rhs: np.ndarray,
                       config: SolverConfig, x0: np.ndarray | None = None,
                       Ax: np.ndarray | None = None, tol: float | None = None):
     """Right-preconditioned GMRES without restarts (Saad & Schultz 1986):
     x = x0 + P^{-1} V y minimizes |rhs - A x| over the Krylov space of
-    A P^{-1} and rhs - A x0, so any nonsingular P will do.  Returns (x,
+    A P^{-1} and rhs - A x0, so any nonsingular P will do; precond.solve(r)
+    returns P^{-1} r.  Returns (x,
     iterations, True) at relative residual tol (default outer_tol/10) and
     raises SolverError if min(inner_max, N+1) basis vectors fall short.
 

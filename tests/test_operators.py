@@ -15,14 +15,15 @@ from fracctrl.jacobi import (
     jacobi_norm_sq,
 )
 from fracctrl.operators import (
+    PRECOND_MODES,
     AssemblyError,
     BandedPreconditioner,
     FastOperatorApply,
     RhsAssembler,
-    advection_offdiagonals,
     assemble_dense,
     assemble_fast,
     build_preconditioners,
+    mirror,
     stiffness_diagonal,
 )
 from fracctrl.solver import project_control
@@ -43,10 +44,16 @@ def rel_err(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
 
 
-def tridiagonal(pre):
-    """The matrix of a BandedPreconditioner, from its solve_banded layout."""
-    sup, mid, sub = pre.bands
-    return np.diag(mid) + np.diag(sup[1:], 1) + np.diag(sub[:-1], -1)
+def block_preconditioner(N, pair, lam1, lam2):
+    """[[A_K, 0], [0, diag(S + lam2*h^{alpha,alpha})]], K = min(N, PRECOND_MODES),
+    with A_K from the dense oracle."""
+    K = min(N, PRECOND_MODES)
+    P = np.zeros((N + 1, N + 1))
+    P[:K + 1, :K + 1] = assemble_dense(K, pair, lam1, lam2).dense_A()
+    n = np.arange(K + 1, N + 1)
+    P[n, n] = (stiffness_diagonal(N, pair)[n]
+               + lam2 * jacobi_norm_sq(n, JacobiParams(pair.alpha, pair.alpha)))
+    return P
 
 
 class TestDenseAssembly:
@@ -249,56 +256,72 @@ class TestFastApply:
 
 
 class TestPreconditioner:
-    def test_offdiagonals_match_dense(self):
-        pair = solve_sigma(0.7, 1.4)
-        N = 64
-        ops = assemble_dense(N, pair, 1.0, 1.0)
-        rule = gauss_jacobi_rule(N + 3, JacobiParams(pair.alpha - 1, pair.alpha - 1))
-        up, lo = advection_offdiagonals(N, pair, rule)
-        assert np.allclose(up[:-1], np.diag(ops.D, 1), rtol=1e-12)
-        assert np.allclose(lo[:-1], np.diag(ops.D, -1), rtol=1e-12)
+    @pytest.mark.parametrize("lam1", [0.0, 1.0, 10.0])
+    @pytest.mark.parametrize("theta,alpha", ORACLE_GRID)
+    def test_leading_block_matches_dense(self, theta, alpha, lam1):
+        # the bases are hierarchical: A_48's leading 41 x 41 block is A_40
+        pair = solve_sigma(theta, alpha)
+        block = FastOperatorApply(48, pair, lam1, 1.0).leading_block(40)
+        A = assemble_dense(40, pair, lam1, 1.0).dense_A()
+        assert np.abs(block - A).max() <= 1e-13 * np.abs(A).max()
 
     def test_bands_match_dense_definition(self):
+        N = 160
         pair = solve_sigma(0.7, 1.6)
-        ops = assemble_dense(32, pair, 1.0, 1.0)
-        P, Phat = build_preconditioners(ops)
-        K = np.diag(np.diag(ops.D, 1), 1) + np.diag(np.diag(ops.D, -1), -1)
-        Q = jacobi_norm_sq(np.arange(33), JacobiParams(pair.alpha, pair.alpha))
-        Pd = np.diag(ops.S) - ops.lam1 * K + ops.lam2 * np.diag(Q)
-        rng = np.random.default_rng(0)
-        v = rng.standard_normal(33)
-        assert rel_err(tridiagonal(P) @ v, Pd @ v) < 1e-13
+        P, Phat = build_preconditioners(assemble_fast(N, pair, 1.0, 1.0))
+        Pd = block_preconditioner(N, pair, 1.0, 1.0)
+        Pinv = np.column_stack([P.solve(e) for e in np.eye(N + 1)])
+        assert np.abs(Pinv @ Pd - np.eye(N + 1)).max() < 1e-12
         # Phat = J P J is P under the sigma swap with the advection sign flipped
-        P_sw, _ = build_preconditioners(assemble_dense(32, pair.swapped(), -1.0, 1.0))
-        assert rel_err(tridiagonal(Phat) @ v, tridiagonal(P_sw) @ v) < 1e-13
+        P_sw, _ = build_preconditioners(assemble_fast(N, pair.swapped(), -1.0, 1.0))
+        v = np.random.default_rng(0).standard_normal(N + 1)
+        assert rel_err(Phat.solve(v), P_sw.solve(v)) < 1e-12
 
     def test_round_trip(self):
+        # for N <= PRECOND_MODES the block is all of A
         pair = solve_sigma(0.5, 1.2)
-        ops = assemble_fast(64, pair, 1.0, 1.0)
-        P, Phat = build_preconditioners(ops)
         rng = np.random.default_rng(1)
-        for pre in (P, Phat):
-            v = rng.standard_normal(65)
-            T = tridiagonal(pre)
-            assert rel_err(T @ pre.solve(v), v) < 1e-12
-            assert rel_err(pre.solve(T @ v), v) < 1e-12
+        for N in (64, 200):
+            P, Phat = build_preconditioners(assemble_fast(N, pair, 1.0, 1.0))
+            T = block_preconditioner(N, pair, 1.0, 1.0)
+            J = mirror(N)
+            for pre, M in ((P, T), (Phat, J[:, None] * T * J)):
+                v = rng.standard_normal(N + 1)
+                assert rel_err(M @ pre.solve(v), v) < 1e-12
+                assert rel_err(pre.solve(M @ v), v) < 1e-12
 
     def test_singular_or_nonfinite_rejected(self):
-        # [[1, 1, 0], [1, 1, 0], [0, 0, 1]]: two equal rows, so singular
-        bands = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+        # two equal rows in the block, or a zero on the tail
         with pytest.raises(AssemblyError, match="singular"):
-            BandedPreconditioner(bands)
-        bands = np.array([[0.0, 1.0], [np.nan, 1.0], [1.0, 0.0]])
+            BandedPreconditioner(np.ones((2, 2)), np.ones(3))
+        with pytest.raises(AssemblyError, match="singular"):
+            BandedPreconditioner(np.eye(2), np.array([1.0, 0.0]))
         with pytest.raises(AssemblyError, match="non-finite"):
-            BandedPreconditioner(bands)
+            BandedPreconditioner(np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(3))
+        with pytest.raises(AssemblyError, match="non-finite"):
+            BandedPreconditioner(np.eye(2), np.array([1.0, np.inf]))
+        ops = assemble_fast(16, solve_sigma(0.7, 1.4), 1.0, np.nan)
+        with pytest.raises(AssemblyError, match="non-finite"):
+            build_preconditioners(ops)
+
+    def test_dense_set_rejected(self):
+        # the block comes from the fast apply's own Gram
+        with pytest.raises(AssemblyError, match="assemble_dense"):
+            build_preconditioners(assemble_dense(16, solve_sigma(0.7, 1.4), 1.0, 1.0))
 
     def test_no_advection_is_diagonal(self):
+        # lam1 = lam2 = 0: A = S, and P is S on every mode; with mass only,
+        # the tail above the block is S + h^{alpha,alpha}
+        N = 200
         pair = solve_sigma(0.7, 1.4)
-        ops = assemble_fast(16, pair, 0.0, 1.0)
-        P, _ = build_preconditioners(ops)
-        assert np.all(P.bands[0] == 0) and np.all(P.bands[2] == 0)
-        Q = jacobi_norm_sq(np.arange(17), JacobiParams(pair.alpha, pair.alpha))
-        assert np.allclose(P.bands[1], ops.S + Q)
+        v = np.random.default_rng(2).standard_normal(N + 1)
+        ops = assemble_fast(N, pair, 0.0, 0.0)
+        for pre in build_preconditioners(ops):
+            assert np.allclose(pre.solve(v), v / ops.S, rtol=1e-14, atol=0.0)
+        P, _ = build_preconditioners(assemble_fast(N, pair, 0.0, 1.0))
+        n = np.arange(PRECOND_MODES + 1, N + 1)
+        Q = jacobi_norm_sq(n, JacobiParams(pair.alpha, pair.alpha))
+        assert np.allclose(P.tail, ops.S[n] + Q, rtol=1e-15, atol=0.0)
 
 
 def quadrature_rhs_oracle(fun_vals_weighted, test, N, weight, npts=800):

@@ -2,6 +2,8 @@
 control projection, and full optimize runs in both modes."""
 
 import re
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from fracctrl import solver
 from fracctrl.fracparams import solve_sigma
 from fracctrl.jacobi import JacobiParams, jacobi_norm_sq
 from fracctrl.operators import (
+    PRECOND_MODES,
     OperatorSet,
     RhsAssembler,
     assemble_dense,
@@ -22,6 +25,7 @@ from fracctrl.solver import (
     ProblemSpec,
     SolverConfig,
     SolverError,
+    direct_solve_adjoint,
     direct_solve_state,
     fixed_point_solve,
     optimize,
@@ -116,6 +120,37 @@ class TestFixedPoint:
         assert iters < 200
         assert np.linalg.norm(U_fast - U_direct) < 1e-10 * np.linalg.norm(U_direct)
 
+    def test_block_preconditioned_solve_above_block(self):
+        # N > PRECOND_MODES: GMRES with the block P and its mirror reaches
+        # the dense LU solutions of the state and adjoint systems
+        pair = solve_sigma(0.7, 1.8)
+        N = 512
+        assert N > PRECOND_MODES
+        cache = ConversionCache()
+        A = FactoredMatrix.factor(assemble_dense(N, pair, 1.0, 1.0).dense_A())
+        fast = assemble_fast(N, pair, 1.0, 1.0, cache)
+        P, Phat = build_preconditioners(fast)
+        asm = RhsAssembler(N, pair, chebyshev_expand(np.sin, M=64),
+                           chebyshev_expand(np.cos, M=64), cache)
+        F = asm.rhs_F(0.0, np.zeros(N + 1), 1.0)
+        G = asm.rhs_G(np.zeros(N + 1))
+        for apply_op, pre, rhs, direct in ((fast.apply_A, P, F, direct_solve_state),
+                                           (fast.apply_B, Phat, G, direct_solve_adjoint)):
+            x, iters, converged = fixed_point_solve(apply_op, pre, rhs, SolverConfig(N=N))
+            exact = direct(A, rhs)
+            assert converged and 1 < iters < 20
+            assert np.linalg.norm(x - exact) < 1e-10 * np.linalg.norm(exact)
+
+    def test_one_iteration_within_block(self):
+        # N <= PRECOND_MODES: P = A and Phat = B, so one step solves either
+        # to the fast apply's agreement with the dense block (3e-14 here)
+        N = 64
+        fast = assemble_fast(N, solve_sigma(0.7, 1.8), 1.0, 1.0)
+        rhs = np.random.default_rng(4).standard_normal(N + 1)
+        for apply_op, pre in zip((fast.apply_A, fast.apply_B), build_preconditioners(fast)):
+            _, iters, converged = fixed_point_solve(apply_op, pre, rhs, SolverConfig(N=N))
+            assert converged and iters == 1
+
     def test_zero_rhs_short_circuits(self):
         pair = solve_sigma(0.5, 1.5)
         fast = assemble_fast(16, pair, 1.0, 1.0)
@@ -165,7 +200,7 @@ class TestFixedPoint:
         dense = assemble_dense(32, pair, 1.0, 1.0)
         fast = assemble_fast(32, pair, 1.0, 1.0)
         P, _ = build_preconditioners(fast)
-        bad = type(P)(bands=-3.0 * P.bands)
+        bad = SimpleNamespace(solve=lambda r: P.solve(r) / -3.0)  # (-3P)^{-1} r
         rhs = np.ones(33)
         x, _, converged = fixed_point_solve(fast.apply_A, bad, rhs, SolverConfig(N=32))
         U_direct = direct_solve_state(FactoredMatrix.factor(dense.dense_A()), rhs)
@@ -173,12 +208,15 @@ class TestFixedPoint:
         assert np.linalg.norm(x - U_direct) <= 1e-10 * np.linalg.norm(U_direct)
 
     def test_budget_exhausted_raises(self):
-        # alpha near 1 needs many more than 3 basis vectors
+        # alpha near 1 needs many more than 3 basis vectors; N = 256 is above
+        # the exact block, where one step would do
         pair = solve_sigma(0.7, 1.15)
-        fast = assemble_fast(64, pair, 1.0, 1.0)
+        N = 256
+        assert N > PRECOND_MODES
+        fast = assemble_fast(N, pair, 1.0, 1.0)
         P, _ = build_preconditioners(fast)
         with pytest.raises(SolverError, match=r"inner_max = 3 .* relative residual"):
-            fixed_point_solve(fast.apply_A, P, np.ones(65), SolverConfig(N=64, inner_max=3))
+            fixed_point_solve(fast.apply_A, P, np.ones(N + 1), SolverConfig(N=N, inner_max=3))
 
 
 class TestOptimize:
@@ -204,7 +242,21 @@ class TestOptimize:
         triple = optimize(example1_spec(alpha=1.8), SolverConfig(N=64, mode="fast"))
         iterations = sum(iu + iz for iu, iz in triple.stats.inner_iterations)
         assert triple.stats.outer_iterations == 8
-        assert len(calls) == iterations == 30
+        # N = 64 is within the preconditioner's exact block, P = A: one
+        # iteration per solve
+        assert len(calls) == iterations == 16
+
+    @pytest.mark.parametrize("alpha, theta, lam1, most", [
+        (1.8, 0.7, 1.0, 16), (1.5, 0.7, 10.0, 58), (1.5, 1.0, 1.0, 22),
+        (1.2, 0.7, 1.0, 87), (1.2, 1.0, 1.0, 44)])
+    def test_inner_iterations_per_optimize(self, alpha, theta, lam1, most):
+        # guards the choice of PRECOND_MODES: total GMRES iterations of an
+        # Example-1 optimize stay at these counts and do not grow from
+        # N = 512 to 1024
+        spec = replace(example1_spec(alpha=alpha, theta=theta), lambda1=lam1)
+        counts = [sum(map(sum, optimize(spec, SolverConfig(N=N)).stats.inner_iterations))
+                  for N in (512, 1024)]
+        assert counts[0] <= most and counts[0] == counts[1]
 
     def test_direct_mode_factors_once(self, monkeypatch):
         # one optimize forms A once and LU-factors it once, however many
