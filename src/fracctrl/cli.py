@@ -25,7 +25,7 @@ import numpy as np
 
 from . import analysis
 from .fracparams import ParameterDomainError, solve_sigma
-from .solver import LINEAR_SOLVES, ProblemSpec, SolverConfig, SolverError, optimize
+from .solver import MODES, ProblemSpec, SolverConfig, SolverError, optimize
 from .transforms import SpectralFunction, chebyshev_expand, chebyshev_to_jacobi
 
 EXIT_OK = 0
@@ -252,15 +252,16 @@ def _emit(text: str, out_path: str | None):
 # subcommands
 
 def cmd_sigma_table(args) -> int:
-    alphas = [float(a) for a in args.alphas.split(",")]
-    thetas = [float(t) for t in args.thetas.split(",")]
+    try:
+        alphas = [float(a) for a in args.alphas.split(",")]
+        thetas = [float(t) for t in args.thetas.split(",")]
+        rows = [[solve_sigma(th, a) for a in alphas] for th in thetas]
+    except ValueError as exc:  # ParameterDomainError is a ValueError
+        raise ConfigError(f"sigma-table: {exc}") from exc
     lines = ["theta\\alpha  " + "  ".join(f"{a:^18.4g}" for a in alphas)]
-    for th in thetas:
-        cells = []
-        for a in alphas:
-            pair = solve_sigma(th, a)
-            cells.append(f"({pair.sigma:.4f}, {pair.sigma_star:.4f})")
-        lines.append(f"{th:<11.4g}  " + "  ".join(cells))
+    for th, row in zip(thetas, rows):
+        lines.append(f"{th:<11.4g}  " + "  ".join(f"({p.sigma:.4f}, {p.sigma_star:.4f})"
+                                                  for p in row))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -326,6 +327,8 @@ def cmd_cache(args) -> int:
         print(f"removed {len(entries)} entries from {cdir}")
         return EXIT_OK
     if args.action == "verify":
+        if args.sample < 1:
+            raise ConfigError(f"--sample must be at least 1, got {args.sample}")
         if not entries:
             print("cache empty; nothing to verify")
             return EXIT_OK
@@ -359,9 +362,10 @@ def make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=(name == "study"), default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--mode", choices=sorted(LINEAR_SOLVES), default=None)
-        p.add_argument("--format", choices=FORMATS, default=None)
-        p.add_argument("--no-cache", action="store_true")
+        p.add_argument("--mode", choices=MODES, default=None)
+        if name == "study":
+            p.add_argument("--format", choices=FORMATS, default=None)
+            p.add_argument("--no-cache", action="store_true")
         p.set_defaults(func=fn)
 
     ca = sub.add_parser("cache", help="reference cache maintenance")

@@ -64,6 +64,9 @@ class FastOperatorApply:
     with x(1-x) Q_m^{b,g} = c0_m Q_m + c1_m Q_{m+1} + c2_m Q_{m+2} in
     Q^{b-1,g-1} (DLMF 18.9.5-6), (M U)_m = c0_m W_m + c1_m W_{m+1} + c2_m W_{m+2}.
     mass_bands holds (c0, c1, c2) for m = 0..N.
+
+    The Gram is built from cache's conversions.  Without a cache none is,
+    and only leading_block may be used; at lam1 = lam2 = 0, A = S needs none.
     """
 
     def __init__(self, N: int, pair: ExponentPair, lam1: float, lam2: float,
@@ -72,10 +75,8 @@ class FastOperatorApply:
         a, g, b = pair.alpha, pair.sigma, pair.sigma_star
         P = JacobiParams
         self.S = stiffness_diagonal(N, pair)
-        # with lam1 = lam2 = 0, A = S: no Gram, so no conversions
-        self.gram = (WeightedGram(cache or ConversionCache(), P(g, b), P(a - 1, a - 1),
-                                  P(b - 1, g - 1), N, N + 2)
-                     if lam1 != 0.0 or lam2 != 0.0 else None)
+        self.gram = (WeightedGram(cache, P(g, b), P(a - 1, a - 1), P(b - 1, g - 1), N, N + 2)
+                     if cache is not None and (lam1 != 0.0 or lam2 != 0.0) else None)
         m = np.arange(N + 2.0)
         # (1-t) Q_m^{b,g} = a0 Q_m^{b-1,g} + a1 Q_{m+1}^{b-1,g}, t = 2x-1;
         # (1+t) Q_n^{b-1,g} = e0(n) Q_n^{b-1,g-1} + e1(n) Q_{n+1}^{b-1,g-1}
@@ -85,20 +86,24 @@ class FastOperatorApply:
         e1 = 2 * (m + 1) / (2 * m + b + g)
         self.mass_bands = (a0 * e0[:-1] / 4, (a0 * e1[:-1] + a1 * e0[1:]) / 4,
                             a1 * e1[1:] / 4)
-        self._advection_rows = -(m[:-1] + 1)
+        c0, c1, c2 = self.mass_bands
+        # -lam1*D: D drops the first row of the weak derivative and scales
+        # row n by -(n+1), so it adds lam1*(n+1) to the band on W_{n+1}
+        self._bands = (lam2 * c0, lam2 * c1 + lam1 * (m[:-1] + 1), lam2 * c2)
 
     def _lower_order(self, W: np.ndarray) -> np.ndarray:
         """lam2*M - lam1*D from Gram values W[..., m], m = 0..k+1, along the
-        last axis: rows m = 0..k-1 of the result."""
+        last axis: rows m = 0..k-1 of the result, summed in place band by
+        band (the leading block's W is a full matrix)."""
         k = W.shape[-1] - 2
-        c0, c1, c2 = (c[:k] for c in self.mass_bands)
-        # D: drop the first row of the weak derivative, scale row n by -(n+1)
-        return (self.lam2 * (c0 * W[..., :-2] + c1 * W[..., 1:-1] + c2 * W[..., 2:])
-                - self.lam1 * self._advection_rows[:k] * W[..., 1:-1])
+        out = self._bands[0][:k] * W[..., :k]
+        for j in (1, 2):
+            out += self._bands[j][:k] * W[..., j:j + k]
+        return out
 
     def __call__(self, U: np.ndarray) -> np.ndarray:
         out = self.S * U
-        if self.gram is not None:
+        if self.lam1 != 0.0 or self.lam2 != 0.0:
             out += self._lower_order(self.gram(U))
         return out
 
@@ -111,7 +116,9 @@ class FastOperatorApply:
         rule = gauss_jacobi_rule(K + 3, JacobiParams(a - 1, a - 1))
         Eu = jacobi_matrix(K, JacobiParams(g, b), rule.nodes)
         Et = jacobi_matrix(K + 2, JacobiParams(b - 1, g - 1), rule.nodes)
-        G = (Et * rule.weights) @ Eu.T  # G[m, n] = W_m of u = Q_n^{g,b}
+        Et *= rule.weights
+        G = Et @ Eu.T  # G[m, n] = W_m of u = Q_n^{g,b}
+        del Eu, Et  # each is (K+3) columns wide; free them before the rows are combined
         block = self._lower_order(G.T).T
         block[np.diag_indices(K + 1)] += self.S[:K + 1]
         return block
@@ -184,7 +191,7 @@ def assemble_fast(N: int, pair: ExponentPair, lam1: float, lam2: float,
     """Factored-transform assembly; applies match dense to ~1e-12 relative."""
     if N < 1:
         raise AssemblyError("truncation must be >= 1")
-    fa = FastOperatorApply(N, pair, lam1, lam2, cache)
+    fa = FastOperatorApply(N, pair, lam1, lam2, cache or ConversionCache())
     return OperatorSet(N=N, pair=pair, lam1=lam1, lam2=lam2, S=fa.S, J=mirror(N), _fast_A=fa)
 
 
@@ -197,8 +204,8 @@ class BandedPreconditioner:
     leading (K+1) x (K+1) block, LU-factored once (LAPACK getrf, one getrs
     per solve), and a diagonal on modes K+1..N.  J_K is all ones for P and
     mirror(K) for J P J, which shares P's factors; J leaves the tail as is.
-    The benchmark's tracer hooks this name and build_preconditioners; both
-    are kept until the benchmark next changes."""
+    The block is kept for residual checks, since at K = N, P = A.  The
+    benchmark's tracer hooks this name and build_preconditioners."""
 
     def __init__(self, block: np.ndarray, tail: np.ndarray):
         if not (np.isfinite(block).all() and np.isfinite(tail).all()):
@@ -206,7 +213,7 @@ class BandedPreconditioner:
         self.lu, self.piv, info = dgetrf(block)
         if info != 0 or not tail.all():
             raise AssemblyError("singular preconditioner")
-        self.tail, self.J = tail, np.ones(len(block))
+        self.block, self.tail, self.J = block, tail, np.ones(len(block))
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         k = len(self.J)
@@ -214,19 +221,22 @@ class BandedPreconditioner:
                                r[k:] / self.tail])
 
 
-def build_preconditioners(ops: OperatorSet) -> tuple[BandedPreconditioner, BandedPreconditioner]:
-    """P, with A's exact leading block on modes 0..K, K = min(N, PRECOND_MODES),
-    and S + lam2*h^{alpha,alpha} on the modes above, where S ~ n^alpha
-    outweighs advection and mass; and its mirror Phat = J P J, sharing P's
-    factors.  For N <= PRECOND_MODES, P = A."""
-    N, a = ops.N, ops.pair.alpha
-    K = min(N, PRECOND_MODES)
-    tail = ops.S[K + 1:] + ops.lam2 * jacobi_norm_sq(np.arange(K + 1, N + 1),
-                                                     JacobiParams(a, a))
-    P = BandedPreconditioner(ops._fast_apply().leading_block(K), tail)
+def preconditioners(fa: FastOperatorApply, K: int) -> tuple[BandedPreconditioner,
+                                                             BandedPreconditioner]:
+    """P, with A's exact leading block on modes 0..K and S + lam2*h^{alpha,alpha}
+    on the modes above, where S ~ n^alpha outweighs advection and mass; and
+    its mirror Phat = J P J, sharing P's factors.  For K = N, P = A."""
+    N, a = len(fa.S) - 1, fa.pair.alpha
+    tail = fa.S[K + 1:] + fa.lam2 * jacobi_norm_sq(np.arange(K + 1, N + 1), JacobiParams(a, a))
+    P = BandedPreconditioner(fa.leading_block(K), tail)
     Phat = copy.copy(P)
-    Phat.J = ops.J[:K + 1]
+    Phat.J = mirror(K)
     return P, Phat
+
+
+def build_preconditioners(ops: OperatorSet) -> tuple[BandedPreconditioner, BandedPreconditioner]:
+    """The preconditioners of a set from assemble_fast at K = min(N, PRECOND_MODES)."""
+    return preconditioners(ops._fast_apply(), min(ops.N, PRECOND_MODES))
 
 
 class RhsAssembler:

@@ -4,9 +4,10 @@ Outer loop (per iteration): solve the state system, solve the adjoint
 system, update the control by the pointwise projection
 q_new = max{0, zbar}/gamma - z/gamma, and stop when the relative sup-norm
 change of the control representation falls below the outer tolerance.
-It sees the two linear systems only as a pair of solve callables from a
-LINEAR_SOLVES builder: dense factorizations ("direct") or GMRES with a
-block preconditioner, warm-started from the last outer iterate ("fast").
+It sees the two linear systems only as a pair of solve callables from
+linear_solves, which LU-factors A's leading (K+1) x (K+1) block: with
+K = N that LU alone answers every solve, and below it GMRES runs with the
+block as its preconditioner, warm-started from the last outer iterate.
 It raises SolverError as soon as the average contraction of the control
 change shows that it cannot reach the tolerance in outer_max iterations.
 """
@@ -18,13 +19,15 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .fracparams import ExponentPair, solve_sigma
 from .jacobi import JacobiParams, jacobi_norm_sq
-from .operators import (RhsAssembler, assemble_dense, assemble_fast, build_preconditioners,
-                        mirror)
+from .operators import (PRECOND_MODES, BandedPreconditioner, FastOperatorApply, RhsAssembler,
+                        assemble_fast, build_preconditioners, mirror, preconditioners)
 from .transforms import ConversionCache, SpectralFunction
+
+
+MODES = ("direct", "fast")
 
 
 class SolverError(RuntimeError):
@@ -52,7 +55,7 @@ class ProblemSpec:
 @dataclass
 class SolverConfig:
     N: int = 64
-    mode: str = "fast"  # a key of LINEAR_SOLVES
+    mode: str = "fast"  # one of MODES: "direct" sets linear_solves' K to N
     inner_max: int = 400
     outer_tol: float = 1e-12
     outer_max: int = 5000
@@ -62,7 +65,7 @@ class SolverConfig:
             raise ValueError("outer_tol must be positive")
         if self.N < 1 or self.inner_max < 1 or self.outer_max < 1:
             raise ValueError("N, inner_max and outer_max must be at least 1")
-        if self.mode not in LINEAR_SOLVES:
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
@@ -107,35 +110,24 @@ class OptimalTriple:
     stats: SolveStats
 
 
-@dataclass(frozen=True)
-class FactoredMatrix:
-    """A dense matrix with its LU factors, from scipy.linalg.lu_factor."""
-
-    matrix: np.ndarray
-    lu: tuple
-
-    @classmethod
-    def factor(cls, M: np.ndarray) -> "FactoredMatrix":
-        return cls(M, lu_factor(M, check_finite=False))
-
-
-def _dense_solve(A: FactoredMatrix, b: np.ndarray, system: str) -> np.ndarray:
-    x = lu_solve(A.lu, b, check_finite=False)
+def _lu_solve(P: BandedPreconditioner, b: np.ndarray, system: str) -> np.ndarray:
+    x = P.solve(b)
     nb = np.linalg.norm(b)
-    if nb > 0 and np.linalg.norm(b - A.matrix @ x) > 1e-10 * nb:
+    if nb > 0 and np.linalg.norm(b - P.block @ x) > 1e-10 * nb:
         raise SolverError(f"dense {system} solve residual too large")
     return x
 
 
-def direct_solve_state(A: FactoredMatrix, F: np.ndarray) -> np.ndarray:
-    return _dense_solve(A, F, "state")
+def direct_solve_state(P: BandedPreconditioner, F: np.ndarray) -> np.ndarray:
+    """A U = F through the LU of a preconditioner whose block is all of A."""
+    return _lu_solve(P, F, "state")
 
 
-def direct_solve_adjoint(A: FactoredMatrix, G: np.ndarray) -> np.ndarray:
-    """B Z = G with B = J A J, through the factors of A; J is orthogonal,
-    so the residual checked is |G - B Z|."""
+def direct_solve_adjoint(P: BandedPreconditioner, G: np.ndarray) -> np.ndarray:
+    """B Z = G with B = J A J, through the same LU; J is orthogonal, so the
+    residual checked is |G - B Z|."""
     J = mirror(G.size - 1)
-    return J * _dense_solve(A, J * G, "adjoint")
+    return J * _lu_solve(P, J * G, "adjoint")
 
 
 def fixed_point_solve(apply_op, precond, rhs: np.ndarray,
@@ -212,24 +204,20 @@ def project_control(Z: np.ndarray, gamma: float, pair: ExponentPair) -> ControlF
     return ControlFunction(constant_part=c, z_part=z_part, gamma=gamma)
 
 
-def direct_linear_solves(N: int, pair: ExponentPair, spec: ProblemSpec,
-                         config: SolverConfig, cache: ConversionCache):
-    """(state_solve, adjoint_solve) on the oracle matrix A, formed once from
-    assemble_dense and LU-factored once; the adjoint solve is the mirrored
-    state solve, B = J A J.  Every solve is one pair of triangular solves.
-    Each maps (rhs, tol) to (x, 0, True), ignoring tol."""
-    # the OperatorSet, and with it M and D, is freed before A is factored
-    A = FactoredMatrix.factor(assemble_dense(N, pair, spec.lambda1, spec.lambda2).dense_A())
-    return (lambda F, tol: (direct_solve_state(A, F), 0, True),
-            lambda G, tol: (direct_solve_adjoint(A, G), 0, True))
-
-
-def fast_linear_solves(N: int, pair: ExponentPair, spec: ProblemSpec,
-                       config: SolverConfig, cache: ConversionCache):
-    """(state_solve, adjoint_solve) by GMRES on the factored applies,
-    right-preconditioned by P and Phat, to the relative residual tol.  Each
-    solve is warm-started from its previous solution x and carries A x
-    with it, so a warm start costs no apply."""
+def linear_solves(N: int, pair: ExponentPair, spec: ProblemSpec, config: SolverConfig,
+                  cache: ConversionCache):
+    """(state_solve, adjoint_solve), each mapping (rhs, tol) to (x, iterations,
+    converged), from P: the LU of A's leading (K+1) x (K+1) block, K = N in
+    direct mode and min(N, PRECOND_MODES) otherwise.  At K = N, P = A, each
+    solve is P's LU alone (residual-checked, tol ignored) and no Gram is built.
+    Below N, GMRES preconditioned by P and Phat = J P J runs on the factored
+    applies to the relative residual tol, warm-started from its last x with
+    A x carried along, so a warm start costs no apply."""
+    K = N if config.mode == "direct" else min(N, PRECOND_MODES)
+    if K == N:
+        P, _ = preconditioners(FastOperatorApply(N, pair, spec.lambda1, spec.lambda2), N)
+        return (lambda F, tol: (direct_solve_state(P, F), 0, True),
+                lambda G, tol: (direct_solve_adjoint(P, G), 0, True))
     ops = assemble_fast(N, pair, spec.lambda1, spec.lambda2, cache)
     P, Phat = build_preconditioners(ops)
 
@@ -247,13 +235,10 @@ def fast_linear_solves(N: int, pair: ExponentPair, spec: ProblemSpec,
     return warm_started(ops.apply_A, P), warm_started(ops.apply_B, Phat)
 
 
-LINEAR_SOLVES = {"direct": direct_linear_solves, "fast": fast_linear_solves}
-
-
 def _outer_loop(solves, asm: RhsAssembler, gamma: float, config: SolverConfig,
                 stats: SolveStats):
-    """Run the projected-gradient outer loop with a (state_solve,
-    adjoint_solve) pair from a LINEAR_SOLVES builder.  Each solve stops at
+    """Run the projected-gradient outer loop with the (state_solve,
+    adjoint_solve) pair from linear_solves.  Each solve stops at
     the relative residual max(1e-3 |b_k - b_{k-1}| / |b_k|, outer_tol/10),
     b being F or G and b_0 = 0: loose while b still moves, outer_tol/10
     once it settles.
@@ -308,12 +293,12 @@ def _outer_loop(solves, asm: RhsAssembler, gamma: float, config: SolverConfig,
 def optimize(spec: ProblemSpec, config: SolverConfig,
              cache: ConversionCache | None = None) -> OptimalTriple:
     """Full solve: the outer loop at config.N from q = 0, U = Z = 0, with
-    the configured mode's linear solves."""
+    the linear solves of linear_solves."""
     t0 = time.perf_counter()
     pair = spec.exponent_pair()
     cache = cache or ConversionCache()
     stats = SolveStats()
-    solves = LINEAR_SOLVES[config.mode](config.N, pair, spec, config, cache)
+    solves = linear_solves(config.N, pair, spec, config, cache)
     asm = RhsAssembler(config.N, pair, spec.f, spec.u_d, cache)
     U, q, stats.outer_iterations = _outer_loop(solves, asm, spec.gamma, config, stats)
     stats.wall_time = time.perf_counter() - t0

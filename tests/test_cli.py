@@ -163,8 +163,22 @@ class TestSigmaTable:
                      "--out", str(out)]) == EXIT_OK
         assert "(0.7500, 0.7500)" in out.read_text()
 
+    @pytest.mark.parametrize("alphas", ["2.5", "abc"])
+    def test_bad_alpha_exits_2(self, capsys, alphas):
+        # outside (1, 2) or not a number: a configuration error, not a traceback
+        assert main(["sigma-table", "--alphas", alphas]) == EXIT_CONFIG
+        assert "config error: sigma-table" in capsys.readouterr().err
+
 
 class TestSolveCommand:
+    @pytest.mark.parametrize("flag", [["--no-cache"], ["--format", "md"]])
+    def test_study_only_flags_rejected(self, capsys, flag):
+        # --no-cache and --format act on a study only; solve does not accept them
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", *flag])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_solve_writes_artifact(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "problem": {"alpha": 1.8, "theta": 0.7},
@@ -287,3 +301,12 @@ class TestCacheCommand:
             fh.write(b"\xde\xad\xbe\xef" * 4)
         assert main(["cache", "verify"]) == EXIT_SOLVER
         assert "CORRUPT" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sample", ["0", "-1"])
+    def test_verify_sample_below_one_exits_2(self, capsys, sample):
+        # with an entry to sample: -1 used to reach random.sample, and 0
+        # verified nothing and exited 0
+        spec = build_spec(RunConfig(problem={"alpha": 1.8, "theta": 0.7}))
+        reference_solve(spec, 16, SolverConfig(N=16, mode="direct"))
+        assert main(["cache", "verify", "--sample", sample]) == EXIT_CONFIG
+        assert "--sample must be at least 1" in capsys.readouterr().err

@@ -8,11 +8,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fracctrl import solver
+from fracctrl import operators
 from fracctrl.fracparams import solve_sigma
 from fracctrl.jacobi import JacobiParams, jacobi_norm_sq
 from fracctrl.operators import (
     PRECOND_MODES,
+    FastOperatorApply,
     OperatorSet,
     RhsAssembler,
     assemble_dense,
@@ -21,17 +22,14 @@ from fracctrl.operators import (
 )
 from fracctrl.solver import (
     ControlFunction,
-    FactoredMatrix,
     ProblemSpec,
     SolverConfig,
     SolverError,
-    direct_solve_adjoint,
-    direct_solve_state,
     fixed_point_solve,
     optimize,
     project_control,
 )
-from fracctrl.transforms import ConversionCache, SpectralFunction, chebyshev_expand
+from fracctrl.transforms import ConversionCache, SpectralFunction, WeightedGram, chebyshev_expand
 
 
 def example1_spec(alpha=1.4, theta=0.7, gamma=1.0):
@@ -112,7 +110,7 @@ class TestFixedPoint:
         P, _ = build_preconditioners(fast)
         asm = RhsAssembler(N, pair, chebyshev_expand(np.sin, M=64), None, cache)
         F = asm.rhs_F(0.0, np.zeros(N + 1), 1.0)
-        U_direct = direct_solve_state(FactoredMatrix.factor(dense.dense_A()), F)
+        U_direct = np.linalg.solve(dense.dense_A(), F)
         U_fast, iters, converged = fixed_point_solve(
             fast.apply_A, P, F, SolverConfig(N=N)
         )
@@ -122,22 +120,22 @@ class TestFixedPoint:
 
     def test_block_preconditioned_solve_above_block(self):
         # N > PRECOND_MODES: GMRES with the block P and its mirror reaches
-        # the dense LU solutions of the state and adjoint systems
+        # the dense solutions of the state and adjoint systems
         pair = solve_sigma(0.7, 1.8)
         N = 512
         assert N > PRECOND_MODES
         cache = ConversionCache()
-        A = FactoredMatrix.factor(assemble_dense(N, pair, 1.0, 1.0).dense_A())
+        dense = assemble_dense(N, pair, 1.0, 1.0)
         fast = assemble_fast(N, pair, 1.0, 1.0, cache)
         P, Phat = build_preconditioners(fast)
         asm = RhsAssembler(N, pair, chebyshev_expand(np.sin, M=64),
                            chebyshev_expand(np.cos, M=64), cache)
         F = asm.rhs_F(0.0, np.zeros(N + 1), 1.0)
         G = asm.rhs_G(np.zeros(N + 1))
-        for apply_op, pre, rhs, direct in ((fast.apply_A, P, F, direct_solve_state),
-                                           (fast.apply_B, Phat, G, direct_solve_adjoint)):
+        for apply_op, pre, rhs, M in ((fast.apply_A, P, F, dense.dense_A()),
+                                      (fast.apply_B, Phat, G, dense.dense_B())):
             x, iters, converged = fixed_point_solve(apply_op, pre, rhs, SolverConfig(N=N))
-            exact = direct(A, rhs)
+            exact = np.linalg.solve(M, rhs)
             assert converged and 1 < iters < 20
             assert np.linalg.norm(x - exact) < 1e-10 * np.linalg.norm(exact)
 
@@ -203,7 +201,7 @@ class TestFixedPoint:
         bad = SimpleNamespace(solve=lambda r: P.solve(r) / -3.0)  # (-3P)^{-1} r
         rhs = np.ones(33)
         x, _, converged = fixed_point_solve(fast.apply_A, bad, rhs, SolverConfig(N=32))
-        U_direct = direct_solve_state(FactoredMatrix.factor(dense.dense_A()), rhs)
+        U_direct = np.linalg.solve(dense.dense_A(), rhs)
         assert converged
         assert np.linalg.norm(x - U_direct) <= 1e-10 * np.linalg.norm(U_direct)
 
@@ -221,10 +219,11 @@ class TestFixedPoint:
 
 class TestOptimize:
     def test_direct_and_fast_agree(self):
+        # above the block, where fast mode runs GMRES and direct mode the LU
         spec = example1_spec(alpha=1.6, theta=0.7)
         cache = ConversionCache()
-        t_direct = optimize(spec, SolverConfig(N=64, mode="direct"), cache=cache)
-        t_fast = optimize(spec, SolverConfig(N=64, mode="fast"), cache=cache)
+        t_direct = optimize(spec, SolverConfig(N=256, mode="direct"), cache=cache)
+        t_fast = optimize(spec, SolverConfig(N=256, mode="fast"), cache=cache)
         for a, b in ((t_direct.U, t_fast.U), (t_direct.Z, t_fast.Z)):
             assert np.linalg.norm(a.coeffs - b.coeffs) < 1e-9 * np.linalg.norm(a.coeffs)
         assert t_direct.q.constant_part == pytest.approx(
@@ -239,12 +238,42 @@ class TestOptimize:
             fn = getattr(OperatorSet, name)
             monkeypatch.setattr(OperatorSet, name,
                                 lambda self, x, fn=fn: calls.append(1) or fn(self, x))
-        triple = optimize(example1_spec(alpha=1.8), SolverConfig(N=64, mode="fast"))
+        triple = optimize(example1_spec(alpha=1.8), SolverConfig(N=256, mode="fast"))
         iterations = sum(iu + iz for iu, iz in triple.stats.inner_iterations)
         assert triple.stats.outer_iterations == 8
-        # N = 64 is within the preconditioner's exact block, P = A: one
-        # iteration per solve
+        # N = 256 is above the preconditioner's exact block, yet every
+        # solve takes one iteration here
         assert len(calls) == iterations == 16
+
+    def test_fast_mode_within_block_is_the_lu(self, monkeypatch):
+        # N <= PRECOND_MODES: P = A, so every solve is P's LU alone, with no
+        # operator apply and no operator Gram; the triple is the oracle's
+        calls, grams = [], []
+        for name in ("apply_A", "apply_B"):
+            monkeypatch.setattr(OperatorSet, name, lambda self, x: calls.append(name))
+        init = WeightedGram.__init__
+        monkeypatch.setattr(WeightedGram, "__init__",
+                            lambda self, *args: grams.append(args[2:4]) or init(self, *args))
+        spec = example1_spec(alpha=1.8)
+        cache = ConversionCache()
+        triple = optimize(spec, SolverConfig(N=PRECOND_MODES, mode="fast"), cache=cache)
+        pair = triple.pair
+        weak_advection = (JacobiParams(pair.alpha - 1, pair.alpha - 1),
+                          JacobiParams(pair.sigma_star - 1, pair.sigma - 1))
+        assert calls == [] and grams and weak_advection not in grams
+        assert triple.stats.outer_iterations == 8
+        assert all(its == (0, 0) for its in triple.stats.inner_iterations)
+        assert max(kkt_residuals(spec, triple, cache)) <= 1e-11
+
+    def test_direct_mode_above_block(self):
+        # direct mode at N > PRECOND_MODES: the LU of the whole of A, built
+        # by the fast apply's leading_block, solves the oracle's system
+        N = 160
+        assert N > PRECOND_MODES
+        spec = example1_spec(alpha=1.4, theta=0.7)
+        cache = ConversionCache()
+        triple = optimize(spec, SolverConfig(N=N, mode="direct"), cache=cache)
+        assert max(kkt_residuals(spec, triple, cache)) <= 1e-11
 
     @pytest.mark.parametrize("alpha, theta, lam1, most", [
         (1.8, 0.7, 1.0, 16), (1.5, 0.7, 10.0, 58), (1.5, 1.0, 1.0, 22),
@@ -259,9 +288,10 @@ class TestOptimize:
         assert counts[0] <= most and counts[0] == counts[1]
 
     def test_direct_mode_factors_once(self, monkeypatch):
-        # one optimize forms A once and LU-factors it once, however many
-        # outer iterations its solves serve; the adjoint solves mirror A's
-        calls = {"dense_A": 0, "dense_B": 0, "lu_factor": 0}
+        # one optimize builds A's block once and LU-factors it once, however
+        # many outer iterations its solves serve; the adjoint solves mirror
+        # A's, and the dense oracle is never formed
+        calls = {"dense_A": 0, "dense_B": 0, "leading_block": 0, "dgetrf": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -271,10 +301,12 @@ class TestOptimize:
 
         for name in ("dense_A", "dense_B"):
             monkeypatch.setattr(OperatorSet, name, counted(name, getattr(OperatorSet, name)))
-        monkeypatch.setattr(solver, "lu_factor", counted("lu_factor", solver.lu_factor))
-        triple = optimize(example1_spec(alpha=1.6), SolverConfig(N=32, mode="direct"))
+        monkeypatch.setattr(FastOperatorApply, "leading_block",
+                            counted("leading_block", FastOperatorApply.leading_block))
+        monkeypatch.setattr(operators, "dgetrf", counted("dgetrf", operators.dgetrf))
+        triple = optimize(example1_spec(alpha=1.6), SolverConfig(N=160, mode="direct"))
         assert triple.stats.outer_iterations >= 3
-        assert calls == {"dense_A": 1, "dense_B": 0, "lu_factor": 1}
+        assert calls == {"dense_A": 0, "dense_B": 0, "leading_block": 1, "dgetrf": 1}
 
     def test_optimality_identity_holds(self):
         # by construction gamma*q + z - max{0, integral z} = 0 pointwise
@@ -326,21 +358,23 @@ class TestOptimize:
         ]
         assert abs(counts[0] - counts[1]) <= 2
 
-    @pytest.mark.parametrize("mode, converged_at", [("direct", 135), ("fast", 135)],
+    @pytest.mark.parametrize("mode, N, small, converged_at",
+                             [("direct", 64, 8, 135), ("fast", 256, 160, 135)],
                              ids=["direct", "fast"])
-    def test_outer_budget_stops_divergence(self, mode, converged_at):
+    def test_outer_budget_stops_divergence(self, mode, N, small, converged_at):
         # small gamma: the projected gradient diverges (alpha 1.8, 1.05) or
         # settles into a 2-cycle (alpha 1.2, gamma 0.2); the budget rule
         # stops each run early, at the requested N, instead of returning
-        # overflowed values or running all of outer_max, and says which
+        # overflowed values or running all of outer_max, and says which.
+        # Fast mode runs above PRECOND_MODES, where it is GMRES, not the LU
         grows, slow = "grows by", "contracts by .* against outer_max"
-        cases = [(1.8, 0.001, 64, 2, grows), (1.8, 0.001, 8, 2, grows),
-                 (1.2, 0.2, 64, 20, slow), (1.05, 0.1, 64, 2, grows)]
-        for alpha, gamma, N, last, why in cases:
+        cases = [(1.8, 0.001, N, 2, grows), (1.8, 0.001, small, 2, grows),
+                 (1.2, 0.2, N, 20, slow), (1.05, 0.1, N, 2, grows)]
+        for alpha, gamma, n, last, why in cases:
             spec = example1_spec(alpha=alpha, gamma=gamma)
             with pytest.raises(SolverError,
-                               match=f"at N={N} cannot converge: the control change {why}") as exc:
-                optimize(spec, SolverConfig(N=N, mode=mode))
+                               match=f"at N={n} cannot converge: the control change {why}") as exc:
+                optimize(spec, SolverConfig(N=n, mode=mode))
             it = int(re.search(r"at iteration (\d+)", str(exc.value)).group(1))
             assert 2 <= it <= last
         # just inside the threshold the loop still converges to the triple
@@ -356,7 +390,7 @@ class TestOptimize:
         # near alpha = 1 fast mode has direct mode's outcome: both converge
         # in the same outer count to the oracle's triple, or the projected
         # gradient diverges in both and the budget rule stops both at the
-        # same iteration
+        # same iteration.  At N = 64 both modes solve by the LU of A
         spec = example1_spec(alpha=alpha, gamma=gamma)
         cache = ConversionCache()
         outcomes = []
@@ -370,6 +404,27 @@ class TestOptimize:
                 assert max(kkt_residuals(spec, triple, cache)) <= 1e-11
                 outcomes.append(("converges in", triple.stats.outer_iterations))
         assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("alpha, gamma, verb, count", [
+        (1.15, 1.0, "converges in", 22), (1.1, 1.0, "converges in", 24),
+        (1.05, 1.0, "raises at", 2), (1.05, 0.1, "raises at", 2)])
+    def test_gmres_matches_lu_near_alpha_one(self, alpha, gamma, verb, count):
+        # the same comparison above the block, where fast mode runs GMRES on
+        # the fast apply.  Direct mode's triple meets the oracle's KKT system
+        # to 1e-11; fast mode's to 1e-10, the fast apply's own agreement with
+        # the oracle near alpha = 1 (it reads 6.3e-11 at alpha = 1.1)
+        spec = example1_spec(alpha=alpha, gamma=gamma)
+        cache = ConversionCache()
+        for mode, bound in (("direct", 1e-11), ("fast", 1e-10)):
+            try:
+                triple = optimize(spec, SolverConfig(N=256, mode=mode), cache=cache)
+            except SolverError as exc:
+                assert "cannot converge" in str(exc)
+                got = ("raises at", int(re.search(r"at iteration (\d+)", str(exc))[1]))
+            else:
+                assert max(kkt_residuals(spec, triple, cache)) <= bound
+                got = ("converges in", triple.stats.outer_iterations)
+            assert got == (verb, count)
 
     @pytest.mark.parametrize("alpha, N", [(1.2, 64), (1.8, 64), (1.8, 256)])
     def test_kkt_residuals(self, alpha, N):
