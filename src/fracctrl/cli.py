@@ -164,14 +164,11 @@ def _is_int(v) -> bool:
 
 def build_solver_config(cfg: RunConfig, mode_override: str | None = None) -> SolverConfig:
     s = cfg.solver
-    counts = {"N": s.get("N", 64), "inner_max": s.get("inner_max", 400),
-              "outer_max": s.get("outer_max", 5000)}
     try:
-        for key, v in counts.items():
-            if not _is_int(v):
-                raise ValueError(f"{key} must be an integer, got {v!r}")
         return SolverConfig(mode=mode_override or s.get("mode", "fast"),
-                            outer_tol=float(s.get("outer_tol", 1e-12)), **counts)
+                            outer_tol=float(s.get("outer_tol", 1e-12)), N=s.get("N", 64),
+                            inner_max=s.get("inner_max", 400),
+                            outer_max=s.get("outer_max", 5000))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"solver block: {exc}") from exc
 

@@ -15,6 +15,7 @@ change shows that it cannot reach the tolerance in outer_max iterations.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -61,10 +62,15 @@ class SolverConfig:
     outer_max: int = 5000
 
     def __post_init__(self):
-        if self.outer_tol <= 0:
-            raise ValueError("outer_tol must be positive")
-        if self.N < 1 or self.inner_max < 1 or self.outer_max < 1:
-            raise ValueError("N, inner_max and outer_max must be at least 1")
+        if not (math.isfinite(self.outer_tol) and self.outer_tol > 0):
+            raise ValueError(f"outer_tol must be positive and finite, got {self.outer_tol!r}")
+        for name in ("N", "inner_max", "outer_max"):
+            v = getattr(self, name)
+            # bool is an Integral, but True is not a count
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            if v < 1:
+                raise ValueError(f"{name} must be at least 1, got {v!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 

@@ -12,10 +12,11 @@ into the weighted inner products of a series against a Jacobi basis.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dct, irfft, next_fast_len, rfft
+from scipy.fft import dct, next_fast_len
 from scipy.special import gammaln
 
 from .jacobi import JacobiParams, gauss_jacobi_rule, jacobi_matrix, jacobi_norm_sq
@@ -80,33 +81,37 @@ def connection_dense(
     return C
 
 
-def _pivoted_cholesky_hankel(hfun, n: int, tol: float = 1e-15, rmax: int = 200) -> np.ndarray:
-    """Low-rank L, one row per pivot, with H ~= L^T L where H[i,j] = hfun(i+j)
-    is PSD (a Hausdorff moment sequence).  Pivots are chosen on the diagonal.
+def _pivoted_cholesky_hankel(h: np.ndarray, n: int, tol: float = 1e-15,
+                             rmax: int = 200) -> np.ndarray:
+    """Low-rank L, one row per pivot, with H ~= L^T L where H[i,j] = h[i+j]
+    (i, j < n) is PSD (a Hausdorff moment sequence).  Pivots are chosen on
+    the diagonal; each new row is one matrix-vector product over the earlier
+    ones, in a factor grown by doubling.
     """
-    d = np.asarray(hfun(2.0 * np.arange(n)), dtype=float).copy()
+    d = h[: 2 * n - 1 : 2].copy()
     scale = d.max(initial=0.0)
-    idx = np.arange(n, dtype=float)
-    cols: list[np.ndarray] = []
-    pivots: list[int] = []
-    while len(cols) < min(rmax, n):
+    rcap = min(rmax, n)
+    L = np.empty((min(16, rcap), n))
+    r = 0
+    while r < rcap:
         p = int(np.argmax(d))
         if d[p] <= tol * scale:
             break
-        col = np.asarray(hfun(idx + p), dtype=float)
-        for lj in cols:
-            col -= lj * lj[p]
+        if r == L.shape[0]:
+            L = np.concatenate([L, np.empty((min(r, rcap - r), n))])
+        col = L[r]
+        np.subtract(h[p : p + n], L[:r, p] @ L[:r], out=col)
         col /= np.sqrt(d[p])
-        cols.append(col)
-        pivots.append(p)
         d -= col * col
         np.maximum(d, 0.0, out=d)
-    return np.array(cols) if cols else np.zeros((0, n))
+        r += 1
+    return L[:r].copy()
 
 
 def _closed_form_parts(k: int, g: float, s: float, b: float, head: int):
     """Pieces of the first-parameter change g -> s at fixed second param b:
-    C[n, m] = D1[i] * t[i-j] * hfun(i+j) * D2[j], i = n-head >= j = m-head >= 0.
+    C[n, m] = D1[i] * t[i-j] * h[i+j] * D2[j], i = n-head >= j = m-head >= 0,
+    with the Hankel sequence h evaluated once, on 0..2(k-head).
     """
     n = np.arange(head, k + 1, dtype=float)
     D1 = np.exp(gammaln(n + b + 1) - gammaln(n + g + b + 1))
@@ -117,12 +122,9 @@ def _closed_form_parts(k: int, g: float, s: float, b: float, head: int):
     t[0] = 1.0
     for j in range(1, k + 1):
         t[j] = t[j - 1] * (g - s + j - 1) / j
-
-    def hfun(sv):
-        sv = np.asarray(sv, dtype=float) + 2 * head
-        return np.exp(gammaln(sv + g + b + 1) - gammaln(sv + s + b + 2))
-
-    return D1, t, hfun, D2
+    sv = np.arange(max(2 * (k - head) + 1, 0), dtype=float) + 2 * head
+    h = np.exp(gammaln(sv + g + b + 1) - gammaln(sv + s + b + 2))
+    return D1, t, h, D2
 
 
 @dataclass
@@ -171,7 +173,7 @@ class ConversionMatrix:
             raise TransformError(f"conversion lowers a parameter by more than 1: "
                                  f"{from_params} -> {to_params}")
         head = int(min(g, s) + b + 1.0 <= 0.0)
-        D1, t, hfun, D2 = _closed_form_parts(k, g, s, b, head)
+        D1, t, h, D2 = _closed_form_parts(k, g, s, b, head)
         if sign:
             sgn = (-1.0) ** np.arange(head, k + 1)
             D1 = D1 * sgn
@@ -183,17 +185,17 @@ class ConversionMatrix:
             col0 = D1 * t[1:] * np.exp(gammaln(n + g + b + 1) - gammaln(n + s + b + 2)
                                        + gammaln(s + b + 2) - gammaln(b + 1))
         m = k + 1 - head
-        L = _pivoted_cholesky_hankel(hfun, m, tol=tol)
+        L = _pivoted_cholesky_hankel(h, m, tol=tol)
         # a linear convolution of length-m sequences needs 2m-1 points; the
         # 5-smooth length at or above that (k = 0 split leaves m = 0)
         nfft = next_fast_len(max(2 * m - 1, 1), real=True)
         tpad = np.zeros(nfft)
         tpad[:m] = t[:m]
-        that = rfft(tpad)
+        that = np.fft.rfft(tpad)
         tpad_T = np.zeros(nfft)
         tpad_T[0] = t[0]
         tpad_T[nfft - m + 1:] = t[1:m][::-1]
-        that_T = rfft(tpad_T)
+        that_T = np.fft.rfft(tpad_T)
         return cls(
             k=k, from_params=from_params, to_params=to_params,
             _D1=D1, _D2=D2, _L=L, _that=that, _that_T=that_T, _col0=col0, _nfft=nfft,
@@ -202,13 +204,6 @@ class ConversionMatrix:
     @property
     def rank(self) -> int:
         return self._L.shape[0]
-
-    def _toeplitz_block(self, X: np.ndarray, hat: np.ndarray) -> np.ndarray:
-        # rows of X are contiguous, so every FFT runs along unit stride;
-        # in place: one ~1.3 MB temporary fewer per apply at N = 2048 (fresh-page faults)
-        F = rfft(X, n=self._nfft)
-        F *= hat
-        return irfft(F, n=self._nfft, overwrite_x=True)[:, : X.shape[1]]
 
     def apply(self, v: np.ndarray, transpose: bool = False) -> np.ndarray:
         """C @ v, or C.T @ v with transpose=True (the coefficient map)."""
@@ -219,13 +214,43 @@ class ConversionMatrix:
         w = v if col0 is None else v[1:]
         D_in, hat, D_out = ((self._D1, self._that_T, self._D2) if transpose
                             else (self._D2, self._that, self._D1))
-        X = self._L * (D_in * w)
-        out = D_out * np.einsum("ij,ij->j", self._L, self._toeplitz_block(X, hat))
+        # Toeplitz block on the rows of L (D_in w), each row zero-padded to
+        # nfft, FFT'd and inverted in place in the thread's shared buffers
+        m = len(w)
+        pad, F = _workspace(self.rank, self._nfft)
+        np.multiply(self._L, D_in * w, out=pad[:, :m])
+        pad[:, m:] = 0.0
+        np.fft.rfft(pad, out=F)
+        F *= hat
+        np.fft.irfft(F, n=self._nfft, out=pad)
+        out = D_out * np.einsum("ij,ij->j", self._L, pad[:, :m])
         if col0 is None:
             return out
         if transpose:
             return np.concatenate([[v[0] + col0 @ w], out])
         return np.concatenate([[v[0]], out + col0 * v[0]])
+
+
+_WORK = threading.local()
+
+
+def _workspace(rows: int, nfft: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's (rows, nfft) real and (rows, nfft//2+1) complex FFT
+    buffers, shared by every conversion and grown to the largest size seen;
+    their contents do not outlive one apply."""
+    nc = nfft // 2 + 1
+    return (_buffer("real", rows * nfft, float).reshape(rows, nfft),
+            _buffer("cplx", rows * nc, complex).reshape(rows, nc))
+
+
+def _buffer(name: str, size: int, dtype) -> np.ndarray:
+    buf = getattr(_WORK, name, None)
+    if buf is None or buf.size < size:
+        buf = None  # free the old buffer before its replacement is made
+        setattr(_WORK, name, None)
+        buf = np.empty(size, dtype=dtype)
+        setattr(_WORK, name, buf)
+    return buf[:size]
 
 
 class ConversionCache:

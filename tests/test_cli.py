@@ -140,7 +140,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("solver", [
         {"N": 8.7}, {"N": True}, {"inner_max": 2.9}, {"outer_max": 3.5}, {"inner_max": -1},
-    ], ids=["n-float", "n-bool", "inner-max-float", "outer-max-float", "inner-max-negative"])
+        {"outer_tol": "nan"}, {"outer_tol": "inf"},
+    ], ids=["n-float", "n-bool", "inner-max-float", "outer-max-float", "inner-max-negative",
+            "outer-tol-nan", "outer-tol-inf"])
     def test_bad_solver_value_exits_2(self, tmp_path, capsys, solver):
         # counts are JSON integers: a float or a bool is rejected, not truncated
         cfg = write_config(tmp_path, {"solver": {"N": 8, "mode": "fast", **solver}})

@@ -59,6 +59,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(outer_tol=-1e-12)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_nonfinite_tolerance_rejected(self, tol):
+        # a NaN tolerance would run all outer_max iterations before failing
+        with pytest.raises(ValueError, match="outer_tol"):
+            SolverConfig(outer_tol=tol)
+
+    @pytest.mark.parametrize("field", ["N", "inner_max", "outer_max"])
+    @pytest.mark.parametrize("value", [2.5, 8.0, True, "8"])
+    def test_noninteger_count_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
+
+    def test_numpy_integer_count_accepted(self):
+        cfg = SolverConfig(N=np.int64(16), inner_max=np.int32(50))
+        assert cfg.N == 16 and cfg.inner_max == 50
+
 
 class TestProjectControl:
     def test_positive_mean_keeps_constant(self):

@@ -5,19 +5,25 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import fracctrl
+from fracctrl.fracparams import solve_sigma
 from fracctrl.jacobi import JacobiParams, gauss_jacobi_rule, jacobi_matrix
+from fracctrl.operators import FastOperatorApply, RhsAssembler
 from fracctrl.transforms import (
     ConversionCache,
     ConversionMatrix,
     SpectralFunction,
     TransformError,
     WeightedGram,
+    _closed_form_parts,
+    _pivoted_cholesky_hankel,
     chebyshev_expand,
     connection_dense,
     jacobi_to_jacobi,
@@ -201,6 +207,98 @@ class TestFactored:
     def test_two_param_change_rejected(self):
         with pytest.raises(TransformError):
             ConversionMatrix.build(8, JacobiParams(0.1, 0.2), JacobiParams(0.3, 0.4))
+
+
+class TestHankelFactor:
+    @pytest.mark.parametrize("g,s,b", CASES_FIRST)
+    def test_factor_reproduces_hankel(self, g, s, b):
+        k, tol = 96, 1e-15
+        _, _, h, _ = _closed_form_parts(k, g, s, b, 0)
+        L = _pivoted_cholesky_hankel(h, k + 1, tol=tol)
+        i = np.arange(k + 1)
+        H = h[i[:, None] + i]
+        assert L.shape[0] < k + 1
+        # the pivoted Cholesky stops once every tracked residual diagonal entry
+        # is below tol * scale; rounding in the last, tiny pivots leaves
+        # entries of H - L^T L up to a few thousand eps * scale (5.8e-13 for
+        # the downward change)
+        assert np.max(np.abs(H - L.T @ L)) <= max(tol, 1e-12) * np.max(np.diag(H))
+
+    @pytest.mark.parametrize("k,bound", [(64, 1e-12), (256, 1e-11)])
+    def test_split_head_matches_dense(self, k, bound):
+        # a Chebyshev source: the head row and column are split off the factor;
+        # the quadrature oracle's own rounding grows with k (3.3e-12 at k = 300)
+        src, dst = JacobiParams(-0.5, -0.5), JacobiParams(0.3, -0.5)
+        Cd = connection_dense(k, src, dst)
+        th = ConversionMatrix.build(k, src, dst)
+        v = np.random.default_rng(k).standard_normal(k + 1)
+        assert np.max(np.abs(th.apply(v) - Cd @ v)) < bound * np.max(np.abs(Cd @ v))
+        assert (np.max(np.abs(th.apply(v, transpose=True) - Cd.T @ v))
+                < bound * np.max(np.abs(Cd.T @ v)))
+
+    def test_example1_ranks_at_2048(self):
+        # the operator and Gram conversions of Example 1 (alpha 1.8, theta 0.7)
+        # at N = 2048: a faster factorization must not change the ranks
+        cache = ConversionCache()
+        pair = solve_sigma(0.7, 1.8)
+        FastOperatorApply(2048, pair, 1.0, 1.0, cache)
+        RhsAssembler(2048, pair, None, None, cache)
+        assert [C.rank for C in cache._store.values()] == [36, 38, 28, 28, 29, 30]
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("order", [(64, 66), (66, 64)])
+    def test_shared_fft_length_leaves_no_stale_columns(self, order, transpose):
+        # k = 64 and k = 66 both use nfft = 135, so they share a buffer shape
+        # while the shorter one's zero tail must not see the longer one's data
+        p, q = JacobiParams(0.7, 0.31), JacobiParams(1.4, 0.31)
+        convs = {k: ConversionMatrix.build(k, p, q) for k in order}
+        assert {C._nfft for C in convs.values()} == {135}
+        rng = np.random.default_rng(9)
+        vs = {k: rng.standard_normal(k + 1) for k in order}
+        alone = {}
+        for k in order:
+            alone[k] = convs[k].apply(vs[k], transpose=transpose)
+            ConversionMatrix.build(8, p, q).apply(np.ones(9))  # reset the buffers' contents
+        first, second = order
+        convs[first].apply(vs[first], transpose=transpose)
+        assert np.array_equal(convs[second].apply(vs[second], transpose=transpose), alone[second])
+        assert np.array_equal(convs[first].apply(vs[first], transpose=transpose), alone[first])
+
+    def test_concurrent_applies_match_sequential(self):
+        th = ConversionMatrix.build(512, JacobiParams(0.7, 0.31), JacobiParams(1.4, 0.31))
+        rng = np.random.default_rng(12)
+        vs = rng.standard_normal((2, 40, 513))
+        expected = [[th.apply(v) for v in batch] for batch in vs]
+        got = [None, None]
+        barrier = threading.Barrier(2)
+
+        def worker(i):
+            barrier.wait()
+            got[i] = [th.apply(v) for v in vs[i]]
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for i in range(2):
+            assert all(np.array_equal(a, b) for a, b in zip(got[i], expected[i]))
+
+    def test_apply_allocates_only_vectors(self):
+        k = 2048
+        th = ConversionMatrix.build(k, JacobiParams(0.7, 0.31), JacobiParams(1.4, 0.31))
+        v = np.random.default_rng(1).standard_normal(k + 1)
+        th.apply(v)  # grows this thread's buffers
+        tracemalloc.start()
+        try:
+            th.apply(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a rank x nfft temporary alone is th.rank * th._nfft * 8 bytes
+        assert peak < 16 * (k + 1) * 8 < th.rank * th._nfft * 8
 
 
 class TestJacobiToJacobi:
