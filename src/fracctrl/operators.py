@@ -247,9 +247,13 @@ class RhsAssembler:
     G_m = (u_N - u_d, Q_m^{s,s*})_{w^{s,s*}}
         = gram_u(U) - [data part, fixed]
 
-    gram_z is the (s*,s)-frame Gram matrix under weight w^{2s*,2s}; it and
-    the data parts are WeightedGram applies, O(N log N) each.  gram_u, its
-    sigma-swapped counterpart, is gram_z between two mirrors J.
+    gram_z is the (s*,s)-frame Gram matrix under weight w^{2s*,2s}.  Up to
+    N = PRECOND_MODES, where linear_solves factors all of A, it is that
+    (N+1) x (N+1) matrix, multiplied out once from its WeightedGram's
+    conversions: there a matrix-vector product is cheaper than the FFT
+    chain.  Above, it and the data parts are WeightedGram applies, O(N log N)
+    each.  gram_u, its sigma-swapped counterpart, is gram_z between two
+    mirrors J.
     """
 
     def __init__(self, N: int, pair: ExponentPair, f: SpectralFunction | None,
@@ -261,7 +265,8 @@ class RhsAssembler:
         P = JacobiParams
         self.h0_zframe = float(jacobi_norm_sq(0, P(b, g)))
         self.J = mirror(N)
-        self.gram_z = WeightedGram(cache, P(b, g), P(2 * b, 2 * g), P(b, g), N, N)
+        gram_z = WeightedGram(cache, P(b, g), P(2 * b, 2 * g), P(b, g), N, N)
+        self.gram_z = gram_z.matrix().__matmul__ if N <= PRECOND_MODES else gram_z
         self.F_data = self._project_data(f, P(b, g), cache) if f is not None else np.zeros(N + 1)
         self.G_data = (self._project_data(u_d, P(g, b), cache) if u_d is not None
                        else np.zeros(N + 1))

@@ -199,12 +199,15 @@ def fixed_point_solve(apply_op, precond, rhs: np.ndarray,
     return x + np.array(y) @ Z[:k], k, True
 
 
-def project_control(Z: np.ndarray, gamma: float, pair: ExponentPair) -> ControlFunction:
-    """Control update: c = max(0, z0*h0)/gamma, q = c - z/gamma."""
+def project_control(Z: np.ndarray, gamma: float, pair: ExponentPair,
+                    h0: float | None = None) -> ControlFunction:
+    """Control update: c = max(0, z0*h0)/gamma, q = c - z/gamma, with
+    h0 = h_0^{sigma*,sigma} (RhsAssembler.h0_zframe), from pair if not given."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     b, g = pair.sigma_star, pair.sigma
-    h0 = float(jacobi_norm_sq(0, JacobiParams(b, g)))
+    if h0 is None:
+        h0 = float(jacobi_norm_sq(0, JacobiParams(b, g)))
     c = max(0.0, Z[0] * h0) / gamma
     z_part = SpectralFunction((b, g), JacobiParams(b, g), np.asarray(Z, dtype=float))
     return ControlFunction(constant_part=c, z_part=z_part, gamma=gamma)
@@ -256,7 +259,7 @@ def _outer_loop(solves, asm: RhsAssembler, gamma: float, config: SolverConfig,
     """
     state_solve, adjoint_solve = solves
     N, tol, max_iter = asm.N, config.outer_tol, config.outer_max
-    q = project_control(np.zeros(N + 1), gamma, asm.pair)
+    q = project_control(np.zeros(N + 1), gamma, asm.pair, asm.h0_zframe)
     qvec = q.rep_vector()
     F_prev = G_prev = np.zeros(N + 1)
 
@@ -269,7 +272,7 @@ def _outer_loop(solves, asm: RhsAssembler, gamma: float, config: SolverConfig,
         G = asm.rhs_G(U)
         Z, iz, _ = adjoint_solve(G, solve_tol(G, G_prev))
         F_prev, G_prev = F, G
-        q = project_control(Z, gamma, asm.pair)
+        q = project_control(Z, gamma, asm.pair, asm.h0_zframe)
         qnew = q.rep_vector()
         change = np.max(np.abs(qnew - qvec))
         err = change / (np.max(np.abs(qvec)) or 1.0)

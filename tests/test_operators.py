@@ -31,6 +31,7 @@ from fracctrl.transforms import (
     ConversionCache,
     ConversionMatrix,
     SpectralFunction,
+    WeightedGram,
     chebyshev_expand,
 )
 
@@ -413,13 +414,41 @@ class TestRhs:
         assert rel_err(lhs, rhs) < 1e-13
 
     def test_gram_z_matches_dense_gram(self):
-        pair = solve_sigma(0.7, 1.4)
-        b, g = pair.sigma_star, pair.sigma
-        N = 24
-        asm = RhsAssembler(N, pair, None, None)
-        rule = gauss_jacobi_rule(2 * N + 4, JacobiParams(2 * b, 2 * g))
-        E = jacobi_matrix(N, JacobiParams(b, g), rule.nodes)
-        M2 = (E * rule.weights) @ E.T
-        rng = np.random.default_rng(9)
-        v = rng.standard_normal(N + 1)
-        assert rel_err(asm.gram_z(v), M2 @ v) < 1e-11
+        # N <= PRECOND_MODES: gram_z is one matrix
+        assert_gram_z_matches_quadrature(24, chain=False)
+
+    def test_chain_gram_z_matches_dense_gram(self):
+        # N > PRECOND_MODES: gram_z is the WeightedGram's conversion chain
+        assert_gram_z_matches_quadrature(160, chain=True)
+
+
+def assert_gram_z_matches_quadrature(N, chain):
+    pair = solve_sigma(0.7, 1.4)
+    b, g = pair.sigma_star, pair.sigma
+    asm = RhsAssembler(N, pair, None, None)
+    assert isinstance(asm.gram_z, WeightedGram) == chain
+    rule = gauss_jacobi_rule(2 * N + 4, JacobiParams(2 * b, 2 * g))
+    E = jacobi_matrix(N, JacobiParams(b, g), rule.nodes)
+    M2 = (E * rule.weights) @ E.T
+    rng = np.random.default_rng(9)
+    v = rng.standard_normal(N + 1)
+    assert rel_err(asm.gram_z(v), M2 @ v) < 1e-11
+
+
+class TestGramZMatrix:
+    @pytest.mark.parametrize("N", [1, 64, 128])
+    def test_matrix_matches_chain(self, N):
+        # within the LU block gram_z is WeightedGram.matrix(): it agrees with
+        # the chain it was formed from to rounding (1.1e-15 is the worst seen)
+        eye = np.eye(N + 1)
+        for alpha in (1.05, 1.2, 1.5, 1.8, 1.99):
+            for theta in (0.0, 0.3, 0.7, 1.0):
+                pair = solve_sigma(theta, alpha)
+                zframe = JacobiParams(pair.sigma_star, pair.sigma)
+                weight = JacobiParams(2 * pair.sigma_star, 2 * pair.sigma)
+                cache = ConversionCache()
+                gram = WeightedGram(cache, zframe, weight, zframe, N, N)
+                G = np.array([gram(e) for e in eye]).T
+                asm = RhsAssembler(N, pair, None, None, cache)
+                for M in (gram.matrix(), np.array([asm.gram_z(e) for e in eye]).T):
+                    assert np.max(np.abs(M - G)) < 1e-13 * np.max(np.abs(G))

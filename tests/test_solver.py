@@ -10,7 +10,7 @@ import pytest
 
 from fracctrl import operators
 from fracctrl.fracparams import solve_sigma
-from fracctrl.jacobi import JacobiParams, jacobi_norm_sq
+from fracctrl.jacobi import JacobiParams, gauss_jacobi_rule, jacobi_matrix, jacobi_norm_sq
 from fracctrl.operators import (
     PRECOND_MODES,
     FastOperatorApply,
@@ -29,7 +29,13 @@ from fracctrl.solver import (
     optimize,
     project_control,
 )
-from fracctrl.transforms import ConversionCache, SpectralFunction, WeightedGram, chebyshev_expand
+from fracctrl.transforms import (
+    ConversionCache,
+    ConversionMatrix,
+    SpectralFunction,
+    WeightedGram,
+    chebyshev_expand,
+)
 
 
 def example1_spec(alpha=1.4, theta=0.7, gamma=1.0):
@@ -39,11 +45,14 @@ def example1_spec(alpha=1.4, theta=0.7, gamma=1.0):
     )
 
 
-def kkt_residuals(spec, triple, cache):
-    """|A U - F(q)|/|F| and |B Z - G(U)|/|G| against the dense oracle."""
+def kkt_residuals(spec, triple, cache, gram_z=None):
+    """|A U - F(q)|/|F| and |B Z - G(U)|/|G| against the dense oracle; the
+    right-hand sides use RhsAssembler's gram_z unless one is given."""
     N = len(triple.U.coeffs) - 1
     dense = assemble_dense(N, triple.pair, spec.lambda1, spec.lambda2)
     asm = RhsAssembler(N, triple.pair, spec.f, spec.u_d, cache)
+    if gram_z is not None:
+        asm.gram_z = gram_z
     F = asm.rhs_F(triple.q.constant_part, triple.q.z_part.coeffs, spec.gamma)
     G = asm.rhs_G(triple.U.coeffs)
     return (np.linalg.norm(dense.dense_A() @ triple.U.coeffs - F) / np.linalg.norm(F),
@@ -441,6 +450,47 @@ class TestOptimize:
                 assert max(kkt_residuals(spec, triple, cache)) <= bound
                 got = ("converges in", triple.stats.outer_iterations)
             assert got == (verb, count)
+
+    @pytest.mark.parametrize("N", [64, PRECOND_MODES, PRECOND_MODES + 1])
+    def test_no_conversion_apply_within_block(self, monkeypatch, N):
+        # within the LU block gram_z is one matrix, so once RhsAssembler is
+        # built an outer iteration applies no conversion; above it, gram_z
+        # is the WeightedGram chain
+        applies, asms, grams = [], [], []
+        apply, init, call = ConversionMatrix.apply, RhsAssembler.__init__, WeightedGram.__call__
+
+        def recording_init(self, *args):
+            init(self, *args)
+            asms.append(self)
+            applies.clear()
+            grams.clear()  # the data projections
+
+        monkeypatch.setattr(ConversionMatrix, "apply",
+                            lambda self, *args, **kw: applies.append(1) or apply(self, *args, **kw))
+        monkeypatch.setattr(RhsAssembler, "__init__", recording_init)
+        monkeypatch.setattr(WeightedGram, "__call__",
+                            lambda self, v: grams.append(self) or call(self, v))
+        triple = optimize(example1_spec(alpha=1.8), SolverConfig(N=N))
+        assert triple.stats.outer_iterations == 8 and len(asms) == 1
+        if N <= PRECOND_MODES:
+            assert applies == [] and grams == []
+        else:
+            assert applies and any(gram is asms[0].gram_z for gram in grams)
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+    @pytest.mark.parametrize("theta", [0.5, 0.7, 1.0])
+    def test_sweep_grid_kkt_within_block(self, alpha, theta):
+        # the benchmark's sweep grid: the triple meets the oracle's KKT system
+        # with the right-hand sides' gram_z by quadrature, not the matrix
+        spec = example1_spec(alpha=alpha, theta=theta)
+        cache = ConversionCache()
+        for N in (64, PRECOND_MODES):
+            triple = optimize(spec, SolverConfig(N=N), cache=cache)
+            b, g = triple.pair.sigma_star, triple.pair.sigma
+            rule = gauss_jacobi_rule(2 * N + 4, JacobiParams(2 * b, 2 * g))
+            E = jacobi_matrix(N, JacobiParams(b, g), rule.nodes)
+            gram_z = ((E * rule.weights) @ E.T).__matmul__
+            assert max(kkt_residuals(spec, triple, cache, gram_z)) <= 1e-11
 
     @pytest.mark.parametrize("alpha, N", [(1.2, 64), (1.8, 64), (1.8, 256)])
     def test_kkt_residuals(self, alpha, N):

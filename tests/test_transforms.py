@@ -246,6 +246,59 @@ class TestHankelFactor:
         assert [C.rank for C in cache._store.values()] == [36, 38, 28, 28, 29, 30]
 
 
+class TestToeplitzSymbol:
+    @pytest.mark.parametrize("g,s,b", CASES_FIRST + [
+        (0.3, 2.3, 0.5),    # a raise by 2
+        (1.6, 0.6, 0.2),    # a decrease by 1: every t_j is 1
+        (-0.5, 0.3, -0.5),  # a Chebyshev source
+    ])
+    @pytest.mark.parametrize("k", [1, 64, 2048])
+    def test_matches_recurrence(self, k, g, s, b):
+        t = _closed_form_parts(k, g, s, b, 0)[1]
+        ref = np.empty(k + 1)  # t_j = (g-s)_j / j! by the Pochhammer recurrence
+        ref[0] = 1.0
+        for j in range(1, k + 1):
+            ref[j] = ref[j - 1] * (g - s + j - 1) / j
+        # an integer difference g-s = -1 (the second case) ends in exact zeros
+        assert np.array_equal(t == 0.0, ref == 0.0)
+        if g - s == -1.0:
+            assert np.array_equal(t, np.concatenate([[1.0, -1.0], np.zeros(k - 1)]))
+        # the running product rounds in another order: 5.2e-15 at k = 2048
+        nz = ref != 0.0
+        assert np.max(np.abs(t[nz] - ref[nz]) / np.abs(ref[nz])) < 1e-14
+
+
+SPLIT_HEAD = (JacobiParams(-0.5, -0.5), JacobiParams(0.3, -0.5))
+
+
+class TestDenseForm:
+    @pytest.mark.parametrize("k", [1, 64, 128])
+    @pytest.mark.parametrize("src,dst", [
+        *[(JacobiParams(g, b), JacobiParams(s, b)) for g, s, b in CASES_FIRST],
+        *[(JacobiParams(f, d), JacobiParams(f, b2)) for f, d, b2 in CASES_SECOND],
+        SPLIT_HEAD,
+    ], ids=[f"first{i}" for i in range(3)] + ["second0", "second1", "split-head"])
+    def test_matches_apply_and_oracle(self, k, src, dst):
+        th = ConversionMatrix.build(k, src, dst)
+        C = th.dense()
+        eye = np.eye(k + 1)
+        # the columns of C and C^T, one apply each; 1.6e-14 is the worst seen
+        fwd = np.array([th.apply(e) for e in eye]).T
+        bwd = np.array([th.apply(e, transpose=True) for e in eye]).T
+        assert np.max(np.abs(C - fwd)) < 1e-13 * np.max(np.abs(fwd))
+        assert np.max(np.abs(C.T - bwd)) < 1e-13 * np.max(np.abs(bwd))
+        # the fast applies' bounds against the quadrature oracle, whose own
+        # rounding grows with k (split head: 9.8e-13 at k = 128)
+        Cd = connection_dense(k, src, dst)
+        bound = 1e-10 if (src, dst) != SPLIT_HEAD else 1e-12 if k <= 64 else 1e-11
+        assert np.max(np.abs(C - Cd)) < bound * np.max(np.abs(Cd))
+
+    def test_split_head_row_and_column(self):
+        C = ConversionMatrix.build(16, *SPLIT_HEAD).dense()
+        assert C[0, 0] == 1.0 and not np.any(C[0, 1:])
+        assert not np.any(np.triu(C, 1))
+
+
 class TestWorkspace:
     @pytest.mark.parametrize("transpose", [False, True])
     @pytest.mark.parametrize("order", [(64, 66), (66, 64)])
