@@ -1,6 +1,7 @@
 """Tests for Jacobi conversion matrices, fast Toeplitz-Hankel matvecs,
 basis transforms, and Chebyshev expansion."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,11 +9,13 @@ import textwrap
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import fracctrl
+import fracctrl.transforms as transforms
 from fracctrl.fracparams import solve_sigma
 from fracctrl.jacobi import JacobiParams, gauss_jacobi_rule, jacobi_matrix
 from fracctrl.operators import FastOperatorApply, RhsAssembler
@@ -354,6 +357,118 @@ class TestWorkspace:
         assert peak < 16 * (k + 1) * 8 < th.rank * th._nfft * 8
 
 
+def _subprocess_env():
+    src = os.path.dirname(os.path.dirname(fracctrl.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _apply_in_fork_child(th, v, expected):
+    sys.exit(0 if np.array_equal(th.apply(v), expected) else 1)
+
+
+class TestRowSplit:
+    """A large apply splits its Toeplitz rows between the caller and helper
+    threads; every row gets the same arithmetic, so the result is bitwise
+    that of one chunk."""
+
+    GENERIC = (JacobiParams(0.7, 0.31), JacobiParams(1.4, 0.31))
+
+    @pytest.mark.parametrize("chunks", [2, 3])
+    @pytest.mark.parametrize("k", [1024, 2048])
+    @pytest.mark.parametrize("src,dst,rows", [
+        (*GENERIC, None),                                         # odd ranks, 27 and 29
+        (JacobiParams(0.9, 0.3), JacobiParams(0.9, 1.8), None),  # second parameter
+        (*SPLIT_HEAD, None),
+        (*GENERIC, 1),  # the factor cut to one row, fewer than the chunks
+    ], ids=["first", "second", "split-head", "rank-1"])
+    def test_matches_one_chunk(self, monkeypatch, chunks, k, src, dst, rows):
+        th = ConversionMatrix.build(k, src, dst)
+        if rows is not None:  # then below the size rule: count it as large
+            th = replace(th, _L=th._L[:rows])
+            monkeypatch.setattr(transforms, "_SPLIT_WORK", 0)
+        assert th.rank * th._nfft >= transforms._SPLIT_WORK
+        v = np.random.default_rng(k).standard_normal(k + 1)
+        monkeypatch.setattr(transforms, "_CHUNKS", chunks)
+        split = th.apply(v), th.apply(v, transpose=True)
+        monkeypatch.setattr(transforms, "_CHUNKS", 1)
+        whole = th.apply(v), th.apply(v, transpose=True)
+        assert np.array_equal(split[0], whole[0]) and np.array_equal(split[1], whole[1])
+
+    def test_concurrent_callers_share_the_helpers(self, monkeypatch):
+        # four callers, more than the CPUs, hand chunks to one pool at once
+        monkeypatch.setattr(transforms, "_CHUNKS", max(transforms._CHUNKS, 2))
+        th = ConversionMatrix.build(2048, *self.GENERIC)
+        assert th.rank * th._nfft >= transforms._SPLIT_WORK
+        vs = np.random.default_rng(13).standard_normal((4, 12, 2049))
+        expected = [[th.apply(v, transpose=bool(j % 2)) for j, v in enumerate(batch)]
+                    for batch in vs]
+        got = [None] * 4
+        barrier = threading.Barrier(4)
+
+        def worker(i):
+            barrier.wait()
+            got[i] = [th.apply(v, transpose=bool(j % 2)) for j, v in enumerate(vs[i])]
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i in range(4):
+            assert all(np.array_equal(a, b) for a, b in zip(got[i], expected[i]))
+
+    def test_forked_child_starts_its_own_helpers(self, monkeypatch):
+        # the child inherits the parent's pool object but none of its threads
+        monkeypatch.setattr(transforms, "_CHUNKS", max(transforms._CHUNKS, 2))
+        th = ConversionMatrix.build(2048, *self.GENERIC)
+        v = np.random.default_rng(14).standard_normal(2049)
+        expected = th.apply(v)  # starts the parent's helpers
+        child = multiprocessing.get_context("fork").Process(
+            target=_apply_in_fork_child, args=(th, v, expected))
+        child.start()
+        try:
+            child.join(timeout=60)
+            assert not child.is_alive()
+            assert child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+
+    SCRIPT = textwrap.dedent("""
+        import threading
+        import numpy as np
+        import fracctrl
+        from fracctrl import transforms
+        from fracctrl.jacobi import JacobiParams
+        assert threading.active_count() == 1
+        spec = fracctrl.ProblemSpec(
+            alpha=1.8, theta=0.7, lambda1=1.0, lambda2=1.0, gamma=1.0,
+            f=transforms.chebyshev_expand(np.sin), u_d=transforms.chebyshev_expand(np.cos))
+        fracctrl.optimize(spec, fracctrl.SolverConfig(N=64))
+        print(threading.active_count())
+        th = transforms.ConversionMatrix.build(
+            2048, JacobiParams(0.7, 0.31), JacobiParams(1.4, 0.31))
+        th.apply(np.ones(2049))
+        print(threading.active_count(), transforms._CHUNKS)
+    """)
+
+    def test_no_thread_until_a_large_apply(self):
+        run = subprocess.run([sys.executable, "-c", self.SCRIPT], env=_subprocess_env(),
+                             capture_output=True, text=True, check=True, timeout=120)
+        small, large = run.stdout.splitlines()
+        assert int(small) == 1
+        threads, chunks = map(int, large.split())
+        assert 1 <= threads <= 1 + (chunks - 1)
+
+
 class TestJacobiToJacobi:
     def test_target_equals_source(self):
         f = SpectralFunction((0, 0), JacobiParams(0.4, 0.4), np.ones(5))
@@ -453,11 +568,8 @@ class TestQuasiLinearScaling:
     """)
 
     def test_matvec_scaling_informational(self):
-        src = os.path.dirname(os.path.dirname(fracctrl.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env, capture_output=True,
-                             text=True, check=True, timeout=120)
+        run = subprocess.run([sys.executable, "-c", self.SCRIPT], env=_subprocess_env(),
+                             capture_output=True, text=True, check=True, timeout=120)
         ratio = float(run.stdout)
         print(f"\nth_matvec scaling 4096/1024: {ratio:.2f}x (informational)")
         assert ratio < 12.0  # loose guard; quasi-linear target is ~6x
