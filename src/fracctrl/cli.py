@@ -267,11 +267,7 @@ def cmd_solve(args) -> int:
     cfg = load_config(args.config) if args.config else RunConfig()
     spec = build_spec(cfg)
     scfg = build_solver_config(cfg, mode_override=args.mode)
-    try:
-        triple = optimize(spec, scfg)
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    triple = optimize(spec, scfg)
     out = args.out or cfg.output.get("path")
     if out:
         np.savez(out, U=triple.U.coeffs, Z=triple.Z.coeffs,
@@ -295,12 +291,7 @@ def cmd_study(args) -> int:
     fmt = args.format or cfg.output.get("format", "csv")
     if fmt not in FORMATS:  # checked before the study runs, not after
         raise ConfigError(f"output block: unknown format {fmt!r}, expected one of {FORMATS}")
-    try:
-        report = analysis.convergence_study(spec, Ns, N_ref, scfg,
-                                            use_cache=not args.no_cache)
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    report = analysis.convergence_study(spec, Ns, N_ref, scfg, use_cache=not args.no_cache)
     _emit(render_report(report, fmt), args.out or cfg.output.get("path"))
     return EXIT_OK
 

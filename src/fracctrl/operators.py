@@ -16,7 +16,6 @@ form.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
@@ -54,27 +53,35 @@ def stiffness_diagonal(N: int, pair: ExponentPair) -> np.ndarray:
     return lam * h
 
 
-class FastOperatorApply:
-    """O(N log N) application of A = S - lam1*D + lam2*M in the trial frame
-    (g, b) = (sigma, sigma*), a = alpha.
+class OperatorSet:
+    """A = S - lam1*D + lam2*M at truncation N, in the trial frame
+    (g, b) = (sigma, sigma*), a = alpha, and its mirror B = J A J, which is
+    never assembled.
 
-    One weighted Gram of the trial series u against the lowered test basis,
-    W_m = (u, Q_m^{b-1,g-1})_{w^{a-1,a-1}} for m = 0..N+2, carries both
-    terms: (D U)_n = -(n+1) W_{n+1}, and since w^{a,a} = x(1-x) w^{a-1,a-1}
-    with x(1-x) Q_m^{b,g} = c0_m Q_m + c1_m Q_{m+1} + c2_m Q_{m+2} in
-    Q^{b-1,g-1} (DLMF 18.9.5-6), (M U)_m = c0_m W_m + c1_m W_{m+1} + c2_m W_{m+2}.
-    mass_bands holds (c0, c1, c2) for m = 0..N.
+    apply_A is O(N log N): one weighted Gram of the trial series u against
+    the lowered test basis, W_m = (u, Q_m^{b-1,g-1})_{w^{a-1,a-1}} for
+    m = 0..N+2, carries both terms: (D U)_n = -(n+1) W_{n+1}, and since
+    w^{a,a} = x(1-x) w^{a-1,a-1} with x(1-x) Q_m^{b,g} = c0_m Q_m +
+    c1_m Q_{m+1} + c2_m Q_{m+2} in Q^{b-1,g-1} (DLMF 18.9.5-6),
+    (M U)_m = c0_m W_m + c1_m W_{m+1} + c2_m W_{m+2}.  mass_bands holds
+    (c0, c1, c2) for m = 0..N.
 
-    The Gram is built from cache's conversions.  Without a cache none is,
-    and only leading_block may be used; at lam1 = lam2 = 0, A = S needs none.
+    The Gram is built from cache's conversions.  Without a cache none is:
+    leading_block still works, and the applies raise AssemblyError unless
+    lam1 = lam2 = 0 (A = S).  dense_A and dense_B combine the oracle
+    matrices M and D, which only assemble_dense adds.
     """
 
     def __init__(self, N: int, pair: ExponentPair, lam1: float, lam2: float,
                  cache: ConversionCache | None = None):
-        self.pair, self.lam1, self.lam2 = pair, lam1, lam2
+        if N < 1:
+            raise AssemblyError("truncation must be >= 1")
+        self.N, self.pair, self.lam1, self.lam2 = N, pair, lam1, lam2
         a, g, b = pair.alpha, pair.sigma, pair.sigma_star
         P = JacobiParams
         self.S = stiffness_diagonal(N, pair)
+        self.J = mirror(N)
+        self.M = self.D = None
         self.gram = (WeightedGram(cache, P(g, b), P(a - 1, a - 1), P(b - 1, g - 1), N, N + 2)
                      if cache is not None and (lam1 != 0.0 or lam2 != 0.0) else None)
         m = np.arange(N + 2.0)
@@ -85,7 +92,7 @@ class FastOperatorApply:
         e0 = 2 * (m + g) / (2 * m + b + g)
         e1 = 2 * (m + 1) / (2 * m + b + g)
         self.mass_bands = (a0 * e0[:-1] / 4, (a0 * e1[:-1] + a1 * e0[1:]) / 4,
-                            a1 * e1[1:] / 4)
+                           a1 * e1[1:] / 4)
         c0, c1, c2 = self.mass_bands
         # -lam1*D: D drops the first row of the weak derivative and scales
         # row n by -(n+1), so it adds lam1*(n+1) to the band on W_{n+1}
@@ -101,11 +108,20 @@ class FastOperatorApply:
             out += self._bands[j][:k] * W[..., j:j + k]
         return out
 
-    def __call__(self, U: np.ndarray) -> np.ndarray:
+    def _apply(self, U: np.ndarray) -> np.ndarray:
         out = self.S * U
         if self.lam1 != 0.0 or self.lam2 != 0.0:
+            if self.gram is None:
+                raise AssemblyError("no Gram in an OperatorSet built without a cache")
             out += self._lower_order(self.gram(U))
         return out
+
+    def apply_A(self, U: np.ndarray) -> np.ndarray:
+        return self._apply(U)
+
+    def apply_B(self, Z: np.ndarray) -> np.ndarray:
+        # _apply, not apply_A: one apply_B is one operator apply
+        return self.J * self._apply(self.J * Z)
 
     def leading_block(self, K: int) -> np.ndarray:
         """A's leading (K+1) x (K+1) block, which is A_K: the bases are
@@ -123,76 +139,37 @@ class FastOperatorApply:
         block[np.diag_indices(K + 1)] += self.S[:K + 1]
         return block
 
-
-@dataclass
-class OperatorSet:
-    """The assembled discrete operators at truncation N.
-
-    assemble_dense fills the oracle matrices M and D, which dense_A
-    combines; assemble_fast fills the factored transform behind apply_A.
-    The adjoint operator is never assembled: dense_B and apply_B are A
-    between two mirrors J.  Each accessor raises AssemblyError on a set
-    built without what it needs.
-    """
-
-    N: int
-    pair: ExponentPair
-    lam1: float
-    lam2: float
-    S: np.ndarray
-    J: np.ndarray
-    M: np.ndarray | None = None
-    D: np.ndarray | None = None
-    _fast_A: FastOperatorApply | None = field(default=None, repr=False)
-
     def dense_A(self) -> np.ndarray:
         if self.D is None:
-            raise AssemblyError("no dense matrices in an OperatorSet from assemble_fast")
+            raise AssemblyError("no dense matrices: only assemble_dense adds M and D")
         return np.diag(self.S) - self.lam1 * self.D + self.lam2 * self.M
 
     def dense_B(self) -> np.ndarray:
         return self.J[:, None] * self.dense_A() * self.J
 
-    def _fast_apply(self) -> FastOperatorApply:
-        if self._fast_A is None:
-            raise AssemblyError("no factored applies in an OperatorSet from assemble_dense")
-        return self._fast_A
-
-    def apply_A(self, U: np.ndarray) -> np.ndarray:
-        return self._fast_apply()(U)
-
-    def apply_B(self, Z: np.ndarray) -> np.ndarray:
-        # _fast_apply, not apply_A: one apply_B is one operator apply
-        return self.J * self._fast_apply()(self.J * Z)
-
 
 def assemble_dense(N: int, pair: ExponentPair, lam1: float, lam2: float) -> OperatorSet:
-    """Exact quadrature assembly of S, M and D."""
-    if N < 1:
-        raise AssemblyError("truncation must be >= 1")
+    """A set without a Gram, plus M and D by exact quadrature."""
+    ops = OperatorSet(N, pair, lam1, lam2)
     a = pair.alpha
     g, b = pair.sigma, pair.sigma_star
     nn = np.arange(N + 1)
-    S = stiffness_diagonal(N, pair)
     rule_m = gauss_jacobi_rule(N + 3, JacobiParams(a, a))
     Eu = jacobi_matrix(N, JacobiParams(g, b), rule_m.nodes)
     Ev = jacobi_matrix(N, JacobiParams(b, g), rule_m.nodes)
-    M = (Ev * rule_m.weights) @ Eu.T
+    ops.M = (Ev * rule_m.weights) @ Eu.T
     del Eu, Ev  # each evaluation matrix is (N+1) x (N+3); free them before the next pair
     rule_d = gauss_jacobi_rule(N + 3, JacobiParams(a - 1, a - 1))
     Eu2 = jacobi_matrix(N, JacobiParams(g, b), rule_d.nodes)
     Et2 = jacobi_matrix(N + 1, JacobiParams(b - 1, g - 1), rule_d.nodes)
-    D = -(nn[:, None] + 1) * ((Et2 * rule_d.weights) @ Eu2.T)[1:]
-    return OperatorSet(N=N, pair=pair, lam1=lam1, lam2=lam2, S=S, J=mirror(N), M=M, D=D)
+    ops.D = -(nn[:, None] + 1) * ((Et2 * rule_d.weights) @ Eu2.T)[1:]
+    return ops
 
 
 def assemble_fast(N: int, pair: ExponentPair, lam1: float, lam2: float,
                   cache: ConversionCache | None = None) -> OperatorSet:
     """Factored-transform assembly; applies match dense to ~1e-12 relative."""
-    if N < 1:
-        raise AssemblyError("truncation must be >= 1")
-    fa = FastOperatorApply(N, pair, lam1, lam2, cache or ConversionCache())
-    return OperatorSet(N=N, pair=pair, lam1=lam1, lam2=lam2, S=fa.S, J=mirror(N), _fast_A=fa)
+    return OperatorSet(N, pair, lam1, lam2, cache or ConversionCache())
 
 
 # modes 0..PRECOND_MODES of A are preconditioned exactly, by one LU
@@ -221,22 +198,19 @@ class BandedPreconditioner:
                                r[k:] / self.tail])
 
 
-def preconditioners(fa: FastOperatorApply, K: int) -> tuple[BandedPreconditioner,
-                                                             BandedPreconditioner]:
-    """P, with A's exact leading block on modes 0..K and S + lam2*h^{alpha,alpha}
-    on the modes above, where S ~ n^alpha outweighs advection and mass; and
-    its mirror Phat = J P J, sharing P's factors.  For K = N, P = A."""
-    N, a = len(fa.S) - 1, fa.pair.alpha
-    tail = fa.S[K + 1:] + fa.lam2 * jacobi_norm_sq(np.arange(K + 1, N + 1), JacobiParams(a, a))
-    P = BandedPreconditioner(fa.leading_block(K), tail)
+def build_preconditioners(ops: OperatorSet, K: int | None = None
+                          ) -> tuple[BandedPreconditioner, BandedPreconditioner]:
+    """P, with A's exact leading block on modes 0..K (default
+    min(N, PRECOND_MODES)) and S + lam2*h^{alpha,alpha} on the modes above,
+    where S ~ n^alpha outweighs advection and mass; and its mirror
+    Phat = J P J, sharing P's factors.  For K = N, P = A."""
+    N, a = ops.N, ops.pair.alpha
+    K = min(N, PRECOND_MODES) if K is None else K
+    tail = ops.S[K + 1:] + ops.lam2 * jacobi_norm_sq(np.arange(K + 1, N + 1), JacobiParams(a, a))
+    P = BandedPreconditioner(ops.leading_block(K), tail)
     Phat = copy.copy(P)
     Phat.J = mirror(K)
     return P, Phat
-
-
-def build_preconditioners(ops: OperatorSet) -> tuple[BandedPreconditioner, BandedPreconditioner]:
-    """The preconditioners of a set from assemble_fast at K = min(N, PRECOND_MODES)."""
-    return preconditioners(ops._fast_apply(), min(ops.N, PRECOND_MODES))
 
 
 class RhsAssembler:

@@ -23,8 +23,8 @@ import numpy as np
 
 from .fracparams import ExponentPair, solve_sigma
 from .jacobi import JacobiParams, jacobi_norm_sq
-from .operators import (PRECOND_MODES, BandedPreconditioner, FastOperatorApply, RhsAssembler,
-                        assemble_fast, build_preconditioners, mirror, preconditioners)
+from .operators import (PRECOND_MODES, BandedPreconditioner, OperatorSet, RhsAssembler,
+                        assemble_fast, build_preconditioners, mirror)
 from .transforms import ConversionCache, SpectralFunction
 
 
@@ -200,14 +200,12 @@ def fixed_point_solve(apply_op, precond, rhs: np.ndarray,
 
 
 def project_control(Z: np.ndarray, gamma: float, pair: ExponentPair,
-                    h0: float | None = None) -> ControlFunction:
+                    h0: float) -> ControlFunction:
     """Control update: c = max(0, z0*h0)/gamma, q = c - z/gamma, with
-    h0 = h_0^{sigma*,sigma} (RhsAssembler.h0_zframe), from pair if not given."""
+    h0 = h_0^{sigma*,sigma} (RhsAssembler.h0_zframe)."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     b, g = pair.sigma_star, pair.sigma
-    if h0 is None:
-        h0 = float(jacobi_norm_sq(0, JacobiParams(b, g)))
     c = max(0.0, Z[0] * h0) / gamma
     z_part = SpectralFunction((b, g), JacobiParams(b, g), np.asarray(Z, dtype=float))
     return ControlFunction(constant_part=c, z_part=z_part, gamma=gamma)
@@ -223,12 +221,12 @@ def linear_solves(N: int, pair: ExponentPair, spec: ProblemSpec, config: SolverC
     applies to the relative residual tol, warm-started from its last x with
     A x carried along, so a warm start costs no apply."""
     K = N if config.mode == "direct" else min(N, PRECOND_MODES)
+    ops = (assemble_fast(N, pair, spec.lambda1, spec.lambda2, cache) if K < N
+           else OperatorSet(N, pair, spec.lambda1, spec.lambda2))
+    P, Phat = build_preconditioners(ops, K)
     if K == N:
-        P, _ = preconditioners(FastOperatorApply(N, pair, spec.lambda1, spec.lambda2), N)
         return (lambda F, tol: (direct_solve_state(P, F), 0, True),
                 lambda G, tol: (direct_solve_adjoint(P, G), 0, True))
-    ops = assemble_fast(N, pair, spec.lambda1, spec.lambda2, cache)
-    P, Phat = build_preconditioners(ops)
 
     def warm_started(apply_op, precond):
         x, Ax = None, np.zeros(N + 1)

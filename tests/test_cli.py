@@ -267,6 +267,21 @@ class TestStudyCommand:
             render_report(report, "xml")
 
 
+class TestSolverFailure:
+    def test_divergent_outer_loop_exits_3(self, tmp_path, capsys):
+        # at gamma = 0.001 the control change grows from one projected-gradient
+        # iteration to the next: both commands fail fast, reported once by main
+        cfg = write_config(tmp_path, {
+            "problem": {"alpha": 1.8, "theta": 0.7, "gamma": 0.001},
+            "solver": {"N": 64, "Ns": [16, 32], "N_ref": 128},
+        })
+        for argv in (["solve", "--config", cfg], ["study", "--config", cfg, "--no-cache"]):
+            assert main(argv) == EXIT_SOLVER
+            err = capsys.readouterr().err.splitlines()
+            failures = [line for line in err if line.startswith("solver failure:")]
+            assert len(failures) == 1 and "grows by a factor" in failures[0]
+
+
 class TestCacheCommand:
     def test_list_empty(self, capsys):
         assert main(["cache", "list"]) == EXIT_OK

@@ -18,7 +18,7 @@ from fracctrl.operators import (
     PRECOND_MODES,
     AssemblyError,
     BandedPreconditioner,
-    FastOperatorApply,
+    OperatorSet,
     RhsAssembler,
     assemble_dense,
     assemble_fast,
@@ -161,7 +161,7 @@ class TestFastApply:
         pair = solve_sigma(theta, alpha)
         g, b = pair.sigma, pair.sigma_star
         N = 40
-        c0, c1, c2 = FastOperatorApply(N, pair, 0.0, 0.0).mass_bands
+        c0, c1, c2 = OperatorSet(N, pair, 0.0, 0.0).mass_bands
         x = np.linspace(0.0, 1.0, 50)
         hi = jacobi_matrix(N, JacobiParams(b, g), x)
         lo = jacobi_matrix(N + 2, JacobiParams(b - 1, g - 1), x)
@@ -262,7 +262,7 @@ class TestPreconditioner:
     def test_leading_block_matches_dense(self, theta, alpha, lam1):
         # the bases are hierarchical: A_48's leading 41 x 41 block is A_40
         pair = solve_sigma(theta, alpha)
-        block = FastOperatorApply(48, pair, lam1, 1.0).leading_block(40)
+        block = OperatorSet(48, pair, lam1, 1.0).leading_block(40)
         A = assemble_dense(40, pair, lam1, 1.0).dense_A()
         assert np.abs(block - A).max() <= 1e-13 * np.abs(A).max()
 
@@ -305,10 +305,21 @@ class TestPreconditioner:
         with pytest.raises(AssemblyError, match="non-finite"):
             build_preconditioners(ops)
 
-    def test_dense_set_rejected(self):
-        # the block comes from the fast apply's own Gram
-        with pytest.raises(AssemblyError, match="assemble_dense"):
-            build_preconditioners(assemble_dense(16, solve_sigma(0.7, 1.4), 1.0, 1.0))
+    @pytest.mark.parametrize("N", [16, 200])
+    def test_dense_and_fast_sets_give_equal_factors(self, N):
+        # the block needs no Gram: both sets build it by the same quadrature
+        pair = solve_sigma(0.7, 1.4)
+        for dense, fast in zip(build_preconditioners(assemble_dense(N, pair, 1.0, 1.0)),
+                               build_preconditioners(assemble_fast(N, pair, 1.0, 1.0))):
+            for name in ("lu", "piv", "block", "tail", "J"):
+                assert np.array_equal(getattr(dense, name), getattr(fast, name))
+
+    def test_applies_without_cache_rejected(self):
+        # a set built without a cache has no Gram for the lower-order terms
+        ops = OperatorSet(16, solve_sigma(0.7, 1.4), 1.0, 1.0)
+        for apply in (ops.apply_A, ops.apply_B):
+            with pytest.raises(AssemblyError, match="without a cache"):
+                apply(np.zeros(17))
 
     def test_no_advection_is_diagonal(self):
         # lam1 = lam2 = 0: A = S, and P is S on every mode; with mass only,
@@ -361,7 +372,7 @@ class TestRhs:
         pair = solve_sigma(0.7, 1.4)
         b, g = pair.sigma_star, pair.sigma
         h0 = float(jacobi_norm_sq(0, JacobiParams(b, g)))
-        q = project_control(np.array([2.0] + [0.0] * 12), 1.0, pair)
+        q = project_control(np.array([2.0] + [0.0] * 12), 1.0, pair, h0)
         # q = c - z/gamma with z = 2 w Q_0; both parts enter F
         asm = RhsAssembler(12, pair, None, None)
         F = asm.rhs_F(q.constant_part, q.z_part.coeffs, q.gamma)

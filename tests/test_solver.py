@@ -13,7 +13,6 @@ from fracctrl.fracparams import solve_sigma
 from fracctrl.jacobi import JacobiParams, gauss_jacobi_rule, jacobi_matrix, jacobi_norm_sq
 from fracctrl.operators import (
     PRECOND_MODES,
-    FastOperatorApply,
     OperatorSet,
     RhsAssembler,
     assemble_dense,
@@ -85,41 +84,46 @@ class TestConfig:
         assert cfg.N == 16 and cfg.inner_max == 50
 
 
+def h0_zframe(pair):
+    return float(jacobi_norm_sq(0, JacobiParams(pair.sigma_star, pair.sigma)))
+
+
 class TestProjectControl:
     def test_positive_mean_keeps_constant(self):
         pair = solve_sigma(0.7, 1.4)
-        h0 = float(jacobi_norm_sq(0, JacobiParams(pair.sigma_star, pair.sigma)))
+        h0 = h0_zframe(pair)
         Z = np.array([1.5, -0.2, 0.3])
-        q = project_control(Z, 2.0, pair)
+        q = project_control(Z, 2.0, pair, h0)
         assert q.constant_part == pytest.approx(1.5 * h0 / 2.0, rel=1e-14)
         # projection keeps the control admissible: mean exactly zero here
         assert q.mean() == pytest.approx(0.0, abs=1e-15)
 
     def test_negative_mean_clipped(self):
         pair = solve_sigma(0.7, 1.4)
-        h0 = float(jacobi_norm_sq(0, JacobiParams(pair.sigma_star, pair.sigma)))
+        h0 = h0_zframe(pair)
         Z = np.array([-1.5, 0.2, 0.0])
-        q = project_control(Z, 1.0, pair)
+        q = project_control(Z, 1.0, pair, h0)
         assert q.constant_part == 0.0
         # mean = -z0 h0 / gamma > 0 when z0 < 0
         assert q.mean() == pytest.approx(1.5 * h0, rel=1e-14)
 
     def test_gamma_must_be_positive(self):
+        pair = solve_sigma(0.5, 1.5)
         with pytest.raises(ValueError):
-            project_control(np.zeros(3), 0.0, solve_sigma(0.5, 1.5))
+            project_control(np.zeros(3), 0.0, pair, h0_zframe(pair))
 
     def test_values_match_definition(self):
         pair = solve_sigma(0.5, 1.6)
         Z = np.array([0.4, 0.1])
         gamma = 3.0
-        q = project_control(Z, gamma, pair)
+        q = project_control(Z, gamma, pair, h0_zframe(pair))
         x = np.linspace(0.05, 0.95, 7)
         z_vals = q.z_part.values(x)
         assert np.allclose(q.values(x), q.constant_part - z_vals / gamma)
 
     def test_rep_vector_layout(self):
         pair = solve_sigma(0.5, 1.6)
-        q = project_control(np.array([2.0, -1.0]), 4.0, pair)
+        q = project_control(np.array([2.0, -1.0]), 4.0, pair, h0_zframe(pair))
         rep = q.rep_vector()
         assert rep[0] == q.constant_part
         assert np.allclose(rep[1:], np.array([2.0, -1.0]) / 4.0)
@@ -326,8 +330,8 @@ class TestOptimize:
 
         for name in ("dense_A", "dense_B"):
             monkeypatch.setattr(OperatorSet, name, counted(name, getattr(OperatorSet, name)))
-        monkeypatch.setattr(FastOperatorApply, "leading_block",
-                            counted("leading_block", FastOperatorApply.leading_block))
+        monkeypatch.setattr(OperatorSet, "leading_block",
+                            counted("leading_block", OperatorSet.leading_block))
         monkeypatch.setattr(operators, "dgetrf", counted("dgetrf", operators.dgetrf))
         triple = optimize(example1_spec(alpha=1.6), SolverConfig(N=160, mode="direct"))
         assert triple.stats.outer_iterations >= 3

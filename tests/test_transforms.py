@@ -18,7 +18,7 @@ import fracctrl
 import fracctrl.transforms as transforms
 from fracctrl.fracparams import solve_sigma
 from fracctrl.jacobi import JacobiParams, gauss_jacobi_rule, jacobi_matrix
-from fracctrl.operators import FastOperatorApply, RhsAssembler
+from fracctrl.operators import OperatorSet, RhsAssembler
 from fracctrl.transforms import (
     ConversionCache,
     ConversionMatrix,
@@ -244,7 +244,7 @@ class TestHankelFactor:
         # at N = 2048: a faster factorization must not change the ranks
         cache = ConversionCache()
         pair = solve_sigma(0.7, 1.8)
-        FastOperatorApply(2048, pair, 1.0, 1.0, cache)
+        OperatorSet(2048, pair, 1.0, 1.0, cache)
         RhsAssembler(2048, pair, None, None, cache)
         assert [C.rank for C in cache._store.values()] == [36, 38, 28, 28, 29, 30]
 
