@@ -73,33 +73,35 @@ def jacobi_norm_sq(n: int | np.ndarray, p: JacobiParams) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def jacobi_rows(p: JacobiParams, t: np.ndarray):
-    """Yield Q_0^{g,b}, Q_1^{g,b}, ... at t = 2x-1, without end.
-
-    Runs the classical three-term recurrence, keeping two rows.
-    """
+def recurrence_coeffs(n: np.ndarray, p: JacobiParams):
+    """Coefficients (c1, c2, c3, c4) of the three-term recurrence
+    c1 Q_n = (c2 + c3 t) Q_{n-1} - c4 Q_{n-2}, t = 2x-1, at the degrees
+    n >= 1 in the array n.  At n = 1 they are (2, g-b, g+b+2, 0), the
+    closed form of Q_1, since the general ones carry a factor (g+b)(g+b+1)
+    that may vanish there."""
     g, b = p.gamma, p.beta
-    pm2 = np.ones_like(t)
-    yield pm2
-    pm1 = 0.5 * ((g + b + 2.0) * t + (g - b))
-    yield pm1
-    n = 2
-    while True:
-        c1 = 2.0 * n * (n + g + b) * (2 * n + g + b - 2)
-        c2 = (2 * n + g + b - 1) * (g * g - b * b)
-        c3 = (2 * n + g + b - 1) * (2 * n + g + b) * (2 * n + g + b - 2)
-        c4 = 2.0 * (n + g - 1) * (n + b - 1) * (2 * n + g + b)
-        pm2, pm1 = pm1, ((c2 + c3 * t) * pm1 - c4 * pm2) / c1
-        yield pm1
-        n += 1
+    n = np.asarray(n, dtype=float)
+    s = 2 * n + g + b
+    c1 = 2.0 * n * (n + g + b) * (s - 2)
+    c2 = (s - 1) * (g * g - b * b)
+    c3 = (s - 1) * s * (s - 2)
+    c4 = 2.0 * (n + g - 1) * (n + b - 1) * s
+    first = n == 1
+    return (np.where(first, 2.0, c1), np.where(first, g - b, c2),
+            np.where(first, g + b + 2.0, c3), np.where(first, 0.0, c4))
 
 
 def jacobi_matrix(nmax: int, p: JacobiParams, x: np.ndarray) -> np.ndarray:
-    """Values Q_n^{g,b}(x) for n = 0..nmax; shape (nmax+1, len(x))."""
+    """Values Q_n^{g,b}(x) for n = 0..nmax; shape (nmax+1, len(x)), by the
+    three-term recurrence."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    t = 2.0 * x - 1.0
+    c1, c2, c3, c4 = recurrence_coeffs(np.arange(1, nmax + 1), p)
     out = np.empty((nmax + 1, x.size))
-    for n, row in zip(range(nmax + 1), jacobi_rows(p, 2.0 * x - 1.0)):
-        out[n] = row
+    out[0] = 1.0
+    for k in range(nmax):
+        prev = out[k - 1] if k else 0.0
+        out[k + 1] = ((c2[k] + c3[k] * t) * out[k] - c4[k] * prev) / c1[k]
     return out
 
 

@@ -21,7 +21,8 @@ import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .fracparams import ExponentPair, lambda_coeff
-from .jacobi import JacobiParams, gauss_jacobi_rule, jacobi_matrix, jacobi_norm_sq
+from .jacobi import (JacobiParams, gauss_jacobi_rule, jacobi_matrix, jacobi_norm_sq,
+                     recurrence_coeffs)
 from .transforms import ConversionCache, SpectralFunction, WeightedGram
 
 
@@ -101,7 +102,7 @@ class OperatorSet:
     def _lower_order(self, W: np.ndarray) -> np.ndarray:
         """lam2*M - lam1*D from Gram values W[..., m], m = 0..k+1, along the
         last axis: rows m = 0..k-1 of the result, summed in place band by
-        band (the leading block's W is a full matrix)."""
+        band."""
         k = W.shape[-1] - 2
         out = self._bands[0][:k] * W[..., :k]
         for j in (1, 2):
@@ -125,17 +126,55 @@ class OperatorSet:
 
     def leading_block(self, K: int) -> np.ndarray:
         """A's leading (K+1) x (K+1) block, which is A_K: the bases are
-        hierarchical.  One (K+3)-point Gauss rule for w^{a-1,a-1} gives the
-        Gram of trial degrees 0..K against test degrees 0..K+2 exactly, and
-        _lower_order combines its rows as the apply combines W."""
+        hierarchical.  It is S plus _lower_order of the Gram
+        G[m, n] = (Q_n^{g,b}, Q_m^{b-1,g-1})_{w^{a-1,a-1}}, m = 0..K+2, built
+        column by column by two recurrences, with no quadrature (the
+        modified Chebyshev algorithm; Gautschi 2004, sec. 2.1.7):
+
+        - column 0 holds the moments nu_m of Q_m^{p,q}, p = b-1, q = g-1,
+          under w^{c,c}, c = a-1.  Integrating (w^{c+1,c+1} P_m)' over
+          [-1, 1] gives 0 = int (1-t^2)^c [(1-t^2) P_m' - 2(c+1) t P_m],
+          and the structure relation (Szego 4.5)
+          (2m+p+q)(1-t^2) P_m' = m(p-q-(2m+p+q)t) P_m + 2(m+p)(m+q) P_{m-1}
+          turns it into a three-term recurrence for nu_m, from
+          nu_0 = B(c+1, c+1) and nu_1 = (p-q)/2 nu_0;
+        - column n follows from columns n-1 and n-2 by the trial basis's
+          recurrence, where multiplying by t acts on a column through the
+          test basis's: (t f, Q_m) = A_m G[m+1] + B_m G[m] + C_m G[m-1].
+
+        Each column thus needs one more row than the next, so column 0
+        runs to row 2K+2 for column K to reach row K+2.  Each column is
+        combined as the apply combines W as soon as it is made, so no
+        Gram is kept."""
         a, g, b = self.pair.alpha, self.pair.sigma, self.pair.sigma_star
-        rule = gauss_jacobi_rule(K + 3, JacobiParams(a - 1, a - 1))
-        Eu = jacobi_matrix(K, JacobiParams(g, b), rule.nodes)
-        Et = jacobi_matrix(K + 2, JacobiParams(b - 1, g - 1), rule.nodes)
-        Et *= rule.weights
-        G = Et @ Eu.T  # G[m, n] = W_m of u = Q_n^{g,b}
-        del Eu, Et  # each is (K+3) columns wide; free them before the rows are combined
-        block = self._lower_order(G.T).T
+        c, p, q = a - 1, b - 1, g - 1
+        rows = 2 * K + 3  # column 0's rows, m = 0..2K+2
+        # t Q_m = A_m Q_{m+1} + B_m Q_m + C_m Q_{m-1} in the test basis
+        t1, t2, t3, t4 = recurrence_coeffs(np.arange(1.0, rows), JacobiParams(p, q))
+        A, B, C = t1 / t3, -t2 / t3, t4 / t3
+        # nu_{m+1} = e1_m nu_m + e2_m nu_{m-1}: int w^{c,c} t P_m from the
+        # structure relation, equated with A_m nu_{m+1} + B_m nu_m + C_m nu_{m-1}
+        m = np.arange(rows - 1.0)
+        scale = (2 * m + p + q) * (m + 2 * c + 2)
+        e1 = ((m * (p - q) / scale - B) / A).tolist()
+        e2 = ((2 * (m + p) * (m + q) / scale - C) / A).tolist()
+        nu = [float(jacobi_norm_sq(0, JacobiParams(c, c)))]  # B(c+1, c+1)
+        nu.append((p - q) / 2 * nu[0])
+        for k in range(1, rows - 1):
+            nu.append(e1[k] * nu[k] + e2[k] * nu[k - 1])
+        # column n = (c2 G_{n-1} + c3 t G_{n-1} - c4 G_{n-2}) / c1
+        c1, c2, c3, c4 = recurrence_coeffs(np.arange(1.0, K + 1), JacobiParams(g, b))
+        col, prev = np.array(nu), np.zeros(rows)
+        blockT = np.empty((K + 1, K + 1))  # row n is the block's column n
+        blockT[0] = self._lower_order(col[:K + 3])
+        for n in range(1, K + 1):
+            L = rows - n
+            tcol = A[:L] * col[1:L + 1] + B[:L] * col[:L]
+            tcol[1:] += C[1:L] * col[:L - 1]
+            k = n - 1
+            col, prev = (c2[k] * col[:L] + c3[k] * tcol - c4[k] * prev[:L]) / c1[k], col
+            blockT[n] = self._lower_order(col[:K + 3])
+        block = blockT.T
         block[np.diag_indices(K + 1)] += self.S[:K + 1]
         return block
 

@@ -41,8 +41,26 @@ ORACLE_GRID = [(theta, alpha) for alpha in (1.01, 1.05, 1.5, 1.99)
                for theta in (0.0, 0.3, 0.5, 1.0)]
 
 
+# the oracle grid plus alpha = 1.2
+SCALE_GRID = [(theta, alpha) for alpha in (1.01, 1.05, 1.2, 1.5, 1.99)
+              for theta in (0.0, 0.3, 0.5, 1.0)]
+
+
 def rel_err(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+def quadrature_block(ops, K, npts):
+    """A's leading (K+1) x (K+1) block from an npts-point Gauss rule for
+    w^{a-1,a-1}: the Gram of trial degrees 0..K against test degrees
+    0..K+2, exact for npts >= K+3, combined as the apply combines W."""
+    a, g, b = ops.pair.alpha, ops.pair.sigma, ops.pair.sigma_star
+    rule = gauss_jacobi_rule(npts, JacobiParams(a - 1, a - 1))
+    Eu = jacobi_matrix(K, JacobiParams(g, b), rule.nodes)
+    Et = jacobi_matrix(K + 2, JacobiParams(b - 1, g - 1), rule.nodes) * rule.weights
+    block = ops._lower_order((Et @ Eu.T).T).T
+    block[np.diag_indices(K + 1)] += ops.S[:K + 1]
+    return block
 
 
 def block_preconditioner(N, pair, lam1, lam2):
@@ -266,6 +284,42 @@ class TestPreconditioner:
         A = assemble_dense(40, pair, lam1, 1.0).dense_A()
         assert np.abs(block - A).max() <= 1e-13 * np.abs(A).max()
 
+    @pytest.mark.parametrize("K", [256, 1024])
+    @pytest.mark.parametrize("theta,alpha", SCALE_GRID)
+    def test_leading_block_matches_dense_at_scale(self, theta, alpha, K):
+        # the recurrences stay accurate at the sizes direct mode factors;
+        # near alpha = 1 they lose most, 3e-13 at K = 256 and 6e-13 at 1024
+        pair = solve_sigma(theta, alpha)
+        dense = assemble_dense(K, pair, 0.0, 1.0)
+        for lam1 in (0.0, 1.0, 10.0):
+            dense.lam1 = lam1  # M and D do not depend on lam1
+            A = dense.dense_A()
+            block = OperatorSet(K, pair, lam1, 1.0).leading_block(K)
+            assert np.abs(block - A).max() <= 2e-12 * np.abs(A).max()
+
+    @pytest.mark.parametrize("alpha", [1.01, 1.2, 1.8])
+    def test_leading_block_no_worse_than_quadrature(self, alpha):
+        # against a rule 300 points finer, the recurrence block is as close
+        # as the (K+3)-point rule's, which is exact but for rounding
+        K = 1024
+        ops = OperatorSet(K, solve_sigma(0.7, alpha), 1.0, 1.0)
+        ref = quadrature_block(ops, K, K + 303)
+        err_rule = np.abs(quadrature_block(ops, K, K + 3) - ref).max()
+        assert np.abs(ops.leading_block(K) - ref).max() <= err_rule
+
+    def test_leading_block_keeps_no_gram(self):
+        # one column of the Gram at a time: the peak is the block itself
+        K = 512
+        ops = OperatorSet(K, solve_sigma(0.7, 1.8), 1.0, 1.0)
+        ops.leading_block(8)
+        tracemalloc.start()
+        try:
+            ops.leading_block(K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * (K + 1) ** 2
+
     def test_bands_match_dense_definition(self):
         N = 160
         pair = solve_sigma(0.7, 1.6)
@@ -307,7 +361,7 @@ class TestPreconditioner:
 
     @pytest.mark.parametrize("N", [16, 200])
     def test_dense_and_fast_sets_give_equal_factors(self, N):
-        # the block needs no Gram: both sets build it by the same quadrature
+        # the block needs no Gram: both sets build it by the same recurrences
         pair = solve_sigma(0.7, 1.4)
         for dense, fast in zip(build_preconditioners(assemble_dense(N, pair, 1.0, 1.0)),
                                build_preconditioners(assemble_fast(N, pair, 1.0, 1.0))):

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fracctrl import operators
+from fracctrl import operators, transforms
 from fracctrl.fracparams import solve_sigma
 from fracctrl.jacobi import JacobiParams, gauss_jacobi_rule, jacobi_matrix, jacobi_norm_sq
 from fracctrl.operators import (
@@ -336,6 +336,22 @@ class TestOptimize:
         triple = optimize(example1_spec(alpha=1.6), SolverConfig(N=160, mode="direct"))
         assert triple.stats.outer_iterations >= 3
         assert calls == {"dense_A": 0, "dense_B": 0, "leading_block": 1, "dgetrf": 1}
+
+    @pytest.mark.parametrize("mode", ["fast", "direct"])
+    @pytest.mark.parametrize("N", [64, 256])
+    def test_no_gauss_rule_on_the_solve_path(self, monkeypatch, N, mode):
+        # A's block comes from recurrences and the conversions from closed
+        # forms: an optimize builds no Gauss rule in either mode
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return gauss_jacobi_rule(*args)
+
+        for module in (operators, transforms):
+            monkeypatch.setattr(module, "gauss_jacobi_rule", counted)
+        optimize(example1_spec(alpha=1.8), SolverConfig(N=N, mode=mode))
+        assert calls == []
 
     def test_optimality_identity_holds(self):
         # by construction gamma*q + z - max{0, integral z} = 0 pointwise
