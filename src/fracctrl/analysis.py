@@ -41,56 +41,71 @@ def _pad(c: np.ndarray, n: int) -> np.ndarray:
 
 
 def _moments(coeffs: np.ndarray, params: JacobiParams,
-             weight: tuple[float, float], cache: ConversionCache):
+             weight: tuple[float, float], cache: ConversionCache, memo: dict):
     """(int w^{weight} p, int w^{weight} p^2) for p = sum coeffs Q_n^{params},
     read off by orthogonality (e_0 h_0 and sum e^2 h) after re-expanding p
-    as sum e_n Q_n^{weight}; NaN when w^{weight} is not integrable."""
+    as sum e_n Q_n^{weight}; NaN when w^{weight} is not integrable.
+
+    memo maps (coefficient bytes, params, weight) to an earlier result, so
+    a series of the same content is expanded once per memo."""
     if min(weight) <= -1.0:
         return float("nan"), float("nan")
-    W = JacobiParams(*weight)
-    e = jacobi_to_jacobi(SpectralFunction((0.0, 0.0), params, coeffs), W, cache).coeffs
-    h = jacobi_norm_sq(np.arange(len(e)), W)
-    return e[0] * h[0], np.dot(e**2, h)
+    key = (coeffs.tobytes(), params.as_tuple(), tuple(weight))
+    if key not in memo:
+        W = JacobiParams(*weight)
+        e = jacobi_to_jacobi(SpectralFunction((0.0, 0.0), params, coeffs), W, cache).coeffs
+        h = jacobi_norm_sq(np.arange(len(e)), W)
+        memo[key] = (e[0] * h[0], np.dot(e**2, h))
+    return memo[key]
 
 
-def _control_norm_sq(c: float, zc: np.ndarray, params: JacobiParams,
-                     gamma: float, a: float, b: float, cache: ConversionCache) -> float:
-    """||c - w*p/gamma||^2 in the w^{a,b} norm, where w*p is the weighted
-    series with exponents equal to the polynomial parameters.
+def _control_norm_sq(c: float, z: SpectralFunction, gamma: float, a: float, b: float,
+                     cache: ConversionCache, memo: dict) -> float:
+    """||c - z/gamma||^2 in the w^{a,b} norm, for z a weighted series.
 
     Expands the square into three exactly-integrable terms; returns NaN
     when any term's combined weight is non-integrable.
     """
-    wa, wb = params.gamma, params.beta
+    wa, wb = z.weight_exponents
     if a <= -1.0 or b <= -1.0:
         return float("nan")
     const_term = c * c * float(np.exp(betaln(a + 1.0, b + 1.0)))
-    cross = _moments(zc, params, (a + wa, b + wb), cache)[0]
-    square = _moments(zc, params, (a + 2 * wa, b + 2 * wb), cache)[1]
+    cross = _moments(z.coeffs, z.poly_params, (a + wa, b + wb), cache, memo)[0]
+    square = _moments(z.coeffs, z.poly_params, (a + 2 * wa, b + 2 * wb), cache, memo)[1]
     return float(const_term - 2.0 * c / gamma * cross + square / gamma**2)
 
 
 def weighted_error(p_N, p_ref, a: float, b: float,
-                   cache: ConversionCache | None = None) -> float:
+                   cache: ConversionCache | None = None, *,
+                   _memo: dict | None = None) -> float:
     """Relative weighted L2 error ||p_N - p_ref||_{w^{a,b}} / ||p_ref||.
 
-    Both arguments must be SpectralFunctions in the same basis, or both
-    ControlFunctions.  Each integral is read off by orthogonality after
-    re-expanding the polynomial in the basis orthogonal for its combined
-    weight; when (a, b) cancels the functions' intrinsic weight that basis
-    is their own and the formula is coefficientwise (Parseval).
+    Both arguments must be SpectralFunctions in the same basis and weight,
+    or both ControlFunctions with the same gamma and z-part basis and
+    weight.  Each integral is read off by orthogonality after re-expanding
+    the polynomial in the basis orthogonal for its combined weight; when
+    (a, b) cancels the functions' intrinsic weight that basis is their own
+    and the formula is coefficientwise (Parseval).  The difference is
+    formed coefficientwise before it is expanded.  _memo, shared by the
+    calls of one study, keeps each series' expansion so that a series of
+    the same content (the reference, or a difference that two norms
+    measure) is expanded once.
     """
     cache = cache or ConversionCache()
+    memo = {} if _memo is None else _memo
     if isinstance(p_N, ControlFunction) and isinstance(p_ref, ControlFunction):
         z1, z2 = p_N.z_part, p_ref.z_part
-        if z1.poly_params != z2.poly_params:
+        if z1.poly_params != z2.poly_params or z1.weight_exponents != z2.weight_exponents:
             raise AnalysisError("control functions use different bases")
+        if p_N.gamma != p_ref.gamma:
+            raise AnalysisError(f"control functions use different gammas: "
+                                f"{p_N.gamma} and {p_ref.gamma}")
         n = max(len(z1.coeffs), len(z2.coeffs))
-        dz = _pad(z2.coeffs, n) - _pad(z1.coeffs, n)
+        dz = replace(z2, coeffs=_pad(z2.coeffs, n) - _pad(z1.coeffs, n))
         dc = p_ref.constant_part - p_N.constant_part
-        num = _control_norm_sq(dc, dz, z1.poly_params, p_ref.gamma, a, b, cache)
-        den = _control_norm_sq(p_ref.constant_part, _pad(z2.coeffs, n),
-                               z2.poly_params, p_ref.gamma, a, b, cache)
+        num = _control_norm_sq(dc, dz, p_ref.gamma, a, b, cache, memo)
+        den = _control_norm_sq(p_ref.constant_part, replace(z2, coeffs=_pad(z2.coeffs, n)),
+                               p_ref.gamma, a, b, cache, memo)
         if not np.isfinite(num) or not np.isfinite(den):
             return float("nan")
         return float(np.sqrt(max(num, 0.0) / den))
@@ -102,8 +117,8 @@ def weighted_error(p_N, p_ref, a: float, b: float,
     n = max(len(p_N.coeffs), len(p_ref.coeffs))
     combined = (a + 2 * wa, b + 2 * wb)
     diff = _pad(p_ref.coeffs, n) - _pad(p_N.coeffs, n)
-    num = _moments(diff, p_N.poly_params, combined, cache)[1]
-    den = _moments(_pad(p_ref.coeffs, n), p_ref.poly_params, combined, cache)[1]
+    num = _moments(diff, p_N.poly_params, combined, cache, memo)[1]
+    den = _moments(_pad(p_ref.coeffs, n), p_ref.poly_params, combined, cache, memo)[1]
     if not np.isfinite(num) or not np.isfinite(den):
         return float("nan")
     return float(np.sqrt(num / den))
@@ -294,18 +309,25 @@ class ConvergenceReport:
 
 
 def triple_errors(triple: OptimalTriple, ref: OptimalTriple,
-                  cache: ConversionCache | None = None) -> dict:
-    """All six relative error norms of a solve against the reference."""
+                  cache: ConversionCache | None = None, *,
+                  _memo: dict | None = None) -> dict:
+    """All six relative error norms of a solve against the reference.
+
+    The six norms share one memo of series expansions (_memo, or a fresh
+    one): the adjoint difference and the reference's Z are expanded once
+    for z and q alike, and a study passes one memo for all its Ns, so the
+    reference's expansions are made once per study."""
     pair = triple.pair
     g, b = pair.sigma, pair.sigma_star
     cache = cache or ConversionCache()
+    memo = {} if _memo is None else _memo
     return {
-        "u_weighted": weighted_error(triple.U, ref.U, -g, -b, cache),
-        "z_weighted": weighted_error(triple.Z, ref.Z, -b, -g, cache),
-        "q_weighted": weighted_error(triple.q, ref.q, -b, -g, cache),
-        "u_l2": weighted_error(triple.U, ref.U, 0.0, 0.0, cache),
-        "z_l2": weighted_error(triple.Z, ref.Z, 0.0, 0.0, cache),
-        "q_l2": weighted_error(triple.q, ref.q, 0.0, 0.0, cache),
+        "u_weighted": weighted_error(triple.U, ref.U, -g, -b, cache, _memo=memo),
+        "z_weighted": weighted_error(triple.Z, ref.Z, -b, -g, cache, _memo=memo),
+        "q_weighted": weighted_error(triple.q, ref.q, -b, -g, cache, _memo=memo),
+        "u_l2": weighted_error(triple.U, ref.U, 0.0, 0.0, cache, _memo=memo),
+        "z_l2": weighted_error(triple.Z, ref.Z, 0.0, 0.0, cache, _memo=memo),
+        "q_l2": weighted_error(triple.q, ref.q, 0.0, 0.0, cache, _memo=memo),
     }
 
 
@@ -322,12 +344,13 @@ def convergence_study(spec: ProblemSpec, Ns, N_ref: int, config: SolverConfig,
         pair, spec.data_regularity if spec.data_regularity is not None else 100.0
     ).state_order
     per_var = {k: [] for k in ConvergenceReport.VARIABLES}
+    memo = {}  # series expansions, shared by every N's norms
     for N in Ns:
         cfg = replace(config, N=N)
         t0 = time.perf_counter()
         triple = optimize(spec, cfg, cache=shared)
         dt = time.perf_counter() - t0
-        errs = triple_errors(triple, ref, shared)
+        errs = triple_errors(triple, ref, shared, _memo=memo)
         for k in per_var:
             per_var[k].append(errs[k])
         report.iters.append(triple.stats.outer_iterations)

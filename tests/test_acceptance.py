@@ -77,9 +77,8 @@ def run_study(spec, Ns, N_ref):
     triples = []
     for N in Ns:
         triples.append(optimize(spec, SolverConfig(N=N, mode="fast"), cache=shared))
-    errors = {k: [triple_errors(t, ref)[k] for t in triples]
-              for k in ("u_weighted", "z_weighted", "q_weighted",
-                        "u_l2", "z_l2", "q_l2")}
+    per_triple = [triple_errors(t, ref) for t in triples]
+    errors = {k: [errs[k] for errs in per_triple] for k in per_triple[0]}
     return triples, ref, errors
 
 

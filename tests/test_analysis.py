@@ -24,7 +24,12 @@ from fracctrl.analysis import (
 from fracctrl.fracparams import solve_sigma
 from fracctrl.jacobi import JacobiParams, gauss_jacobi_rule, jacobi_norm_sq
 from fracctrl.solver import ControlFunction, ProblemSpec, SolverConfig, optimize
-from fracctrl.transforms import SpectralFunction, chebyshev_expand
+from fracctrl.transforms import (
+    ConversionCache,
+    ConversionMatrix,
+    SpectralFunction,
+    chebyshev_expand,
+)
 
 
 def make_fun(pair, coeffs, frame="state"):
@@ -71,6 +76,44 @@ def example1_spec(alpha=1.8, theta=0.7):
         alpha=alpha, theta=theta, lambda1=1.0, lambda2=1.0, gamma=1.0,
         f=chebyshev_expand(np.sin, M=64), u_d=chebyshev_expand(np.cos, M=64),
     )
+
+
+def example2_spec(alpha=1.8, beta=-0.4, theta=0.5):
+    """Weighted data w^{beta,beta} sin and w^{beta,beta} cos (the study
+    benchmark's problem at alpha = 1.8, and acceptance criterion 5's)."""
+    fc = chebyshev_expand(np.sin, M=64)
+    uc = chebyshev_expand(np.cos, M=64)
+    pair = solve_sigma(theta, alpha)
+    return ProblemSpec(
+        alpha=alpha, theta=theta, lambda1=1.0, lambda2=1.0, gamma=1.0,
+        f=SpectralFunction((beta, beta), fc.poly_params, fc.coeffs),
+        u_d=SpectralFunction((beta, beta), uc.poly_params, uc.coeffs),
+        data_regularity=2 * beta + min(pair.sigma, pair.sigma_star) + 1,
+    )
+
+
+@pytest.fixture
+def norm_applies(monkeypatch):
+    """A list whose length counts the ConversionMatrix.apply calls made
+    inside analysis.weighted_error, however it is reached."""
+    calls, depth = [], [0]
+    apply, error = ConversionMatrix.apply, analysis.weighted_error
+
+    def counted_apply(self, *args, **kwargs):
+        if depth[0]:
+            calls.append(self.k)
+        return apply(self, *args, **kwargs)
+
+    def counted_error(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return error(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(ConversionMatrix, "apply", counted_apply)
+    monkeypatch.setattr(analysis, "weighted_error", counted_error)
+    return calls
 
 
 class TestWeightedError:
@@ -158,6 +201,23 @@ class TestWeightedError:
         q1 = ControlFunction(0.1, z, 1.0)
         q2 = ControlFunction(0.2, z, 1.0)
         assert np.isnan(weighted_error(q1, q2, -pair.sigma_star, -pair.sigma))
+
+    def test_control_gamma_mismatch_rejected(self):
+        # (z, gamma = 1) and (2z, gamma = 2) are the same control, but one
+        # gamma cannot measure both: rejected rather than read as nonzero
+        pair = solve_sigma(0.7, 1.4)
+        z = make_fun(pair, [0.5, -0.2, 0.1], frame="adjoint")
+        z2 = make_fun(pair, 2.0 * z.coeffs, frame="adjoint")
+        with pytest.raises(AnalysisError, match="gamma"):
+            weighted_error(ControlFunction(1.0, z, 1.0), ControlFunction(1.0, z2, 2.0), 0.0, 0.0)
+
+    def test_control_weight_mismatch_rejected(self):
+        pair = solve_sigma(0.7, 1.4)
+        z = make_fun(pair, [0.5, -0.2, 0.1], frame="adjoint")
+        plain = SpectralFunction((0.0, 0.0), z.poly_params, z.coeffs)
+        with pytest.raises(AnalysisError):
+            weighted_error(ControlFunction(1.0, plain, 1.0), ControlFunction(1.0, z, 1.0),
+                           0.0, 0.0)
 
 
 class TestEoc:
@@ -269,6 +329,61 @@ class TestConvergenceStudy:
         for Ns, N_ref in (([], 64), ([32], 64), ([8, 24], 96), ([0, 0], 64), ([-8], 64)):
             with pytest.raises(AnalysisError):
                 convergence_study(spec, Ns, N_ref, cfg)
+
+    @pytest.mark.parametrize("alpha, Ns, N_ref", [
+        (1.8, [64, 128, 256], 1024),   # the study benchmark's workload
+        (1.8, [64, 128, 256], 2048),   # acceptance criterion 5
+        (1.2, [64, 128, 256], 2048),
+    ])
+    def test_study_equals_fresh_triple_errors(self, alpha, Ns, N_ref):
+        # the study's shared memo and cache change no bit of any result
+        spec = example2_spec(alpha)
+        cfg = SolverConfig(mode="fast")
+        report = convergence_study(spec, Ns, N_ref, cfg)
+        ref = reference_solve(spec, N_ref, cfg)
+        per_var = {k: [] for k in ConvergenceReport.VARIABLES}
+        for i, N in enumerate(Ns):
+            triple = optimize(spec, SolverConfig(N=N, mode="fast"), cache=ConversionCache())
+            assert triple.stats.outer_iterations == report.iters[i]
+            for k, e in triple_errors(triple, ref, ConversionCache()).items():
+                per_var[k].append(e)
+        assert report.errors == per_var
+        assert report.orders == {k: eoc(es, Ns) for k, es in per_var.items()}
+
+    def test_study_expands_each_series_once(self, norm_applies):
+        # per N: U's difference at 2 weights (one conversion each step),
+        # the adjoint difference at 3 (shared by z and q); the reference's
+        # series once per study: 6 * 3 + 6 applies, where expanding every
+        # norm's operands apart costs 16 per N (48)
+        spec = example2_spec()
+        cfg = SolverConfig(mode="fast")
+        convergence_study(spec, [16, 32, 64], 256, cfg)
+        assert len(norm_applies) == 24
+        assert set(norm_applies) == {256}
+        # a second study starts with an empty memo
+        convergence_study(spec, [16, 32, 64], 256, cfg)
+        assert len(norm_applies) == 48
+
+    def test_standalone_norms_cost_as_before(self, norm_applies):
+        spec = example2_spec()
+        cfg = SolverConfig(mode="fast")
+        ref = reference_solve(spec, 256, cfg)
+        triple = optimize(spec, SolverConfig(N=16, mode="fast"))
+        g, b = triple.pair.sigma, triple.pair.sigma_star
+        counts = []
+        for p_N, p_ref, wa, wb in ((triple.U, ref.U, -g, -b), (triple.Z, ref.Z, -b, -g),
+                                   (triple.q, ref.q, -b, -g), (triple.U, ref.U, 0.0, 0.0),
+                                   (triple.Z, ref.Z, 0.0, 0.0), (triple.q, ref.q, 0.0, 0.0)):
+            before = len(norm_applies)
+            analysis.weighted_error(p_N, p_ref, wa, wb)
+            counts.append(len(norm_applies) - before)
+        # the weighted U and Z norms are coefficientwise; every other norm
+        # expands its difference and its reference with two conversions each
+        assert counts == [0, 0, 4, 4, 4, 4]
+        # one triple_errors call shares its six norms' expansions
+        before = len(norm_applies)
+        triple_errors(triple, ref)
+        assert len(norm_applies) - before == 12
 
     def test_cache_dir_env_override(self, tmp_path):
         assert cache_dir() == str(tmp_path / "cache")

@@ -45,3 +45,25 @@ def test_traced_counts_follow_the_solve(monkeypatch):
         patches = list(tracer._patches)
         tracer.uninstall()
     assert patches and all(vars(owner)[attr] is original for owner, attr, original in patches)
+
+
+def test_traced_study_counts_follow_the_study(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    monkeypatch.setenv("FRACCTRL_CACHE_DIR", str(tmp_path))
+    import tracing
+    import workload
+
+    spec = workload.spec_of(workload.problem(1.8, 0.5, beta=-0.4))
+    Ns = [16, 32]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        c = tracer.counts
+        fracctrl.convergence_study(spec, Ns, 128, fracctrl.SolverConfig(mode="fast"))
+        # one study, one reference lookup, and each of the six norms per N
+        # through weighted_error, however the study shares their expansions
+        assert c["analysis.study.calls"] == 1
+        assert c["analysis.ref_load.calls"] == 1
+        assert c["analysis.error_norm.calls"] == 6 * len(Ns)
+    finally:
+        tracer.uninstall()
