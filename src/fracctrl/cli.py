@@ -131,8 +131,6 @@ def build_spec(cfg: RunConfig) -> ProblemSpec:
         lambda1 = float(p.get("lambda1", 1.0))
         lambda2 = float(p.get("lambda2", 1.0))
         gamma = float(p.get("gamma", 1.0))
-        if not gamma > 0:
-            raise ValueError(f"gamma must be positive, got {gamma}")
         pair = solve_sigma(theta, alpha)
         if "data_regularity" in p:
             r = float(p["data_regularity"])
@@ -150,11 +148,14 @@ def build_spec(cfg: RunConfig) -> ProblemSpec:
             return fun
         return SpectralFunction((beta, beta), fun.poly_params, fun.coeffs)
 
-    return ProblemSpec(
-        alpha=alpha, theta=theta, lambda1=lambda1, lambda2=lambda2, gamma=gamma,
-        f=weighted(factor_f), u_d=weighted(factor_ud),
-        data_regularity=r,
-    )
+    try:
+        return ProblemSpec(
+            alpha=alpha, theta=theta, lambda1=lambda1, lambda2=lambda2, gamma=gamma,
+            f=weighted(factor_f), u_d=weighted(factor_ud),
+            data_regularity=r,
+        )
+    except ValueError as exc:  # gamma or a lambda out of range
+        raise ConfigError(f"problem block: {exc}") from exc
 
 
 def _is_int(v) -> bool:

@@ -330,13 +330,33 @@ def _buffer(name: str, size: int, dtype) -> np.ndarray:
 
 
 class ConversionCache:
-    """Memoizes Factored conversions keyed by (k, from, to).
+    """Memoizes Factored conversions keyed by (k, from, to), and keeps one
+    more value, a solve's set-up, in a single slot (see slot).
 
-    Safe for concurrent reads after single-threaded population.
+    Nothing in it is locked.  Conversions are safe to read from several
+    threads once one thread has populated them.  The slot's contents are
+    replaced whole, never changed in place, so a solve keeps the set-up it
+    looked up even if a solve in another thread replaces it; but solves of
+    different problems that take turns on one cache rebuild each other's
+    set-up, so give each thread its own cache.
     """
 
     def __init__(self):
         self._store: dict[tuple, ConversionMatrix] = {}
+        self._slot: tuple | None = None  # (key, value)
+
+    def slot(self, key, build):
+        """(value, reused): the slot's value if it was built under a key
+        equal to key, else build()'s, which then replaces it.  The old value
+        is dropped before build runs, so the slot never holds two.  If build
+        raises, the slot is left empty."""
+        kept = self._slot  # one read: another thread may replace it
+        if kept is not None and kept[0] == key:
+            return kept[1], True
+        self._slot = None
+        value = build()
+        self._slot = (key, value)
+        return value, False
 
     def get(self, k: int, from_params: JacobiParams, to_params: JacobiParams) -> ConversionMatrix:
         key = (k, from_params.as_tuple(), to_params.as_tuple())

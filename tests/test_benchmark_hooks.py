@@ -47,6 +47,30 @@ def test_traced_counts_follow_the_solve(monkeypatch):
     assert patches and all(vars(owner)[attr] is original for owner, attr, original in patches)
 
 
+def test_traced_gamma_sweep_builds_once(monkeypatch):
+    # two solves on one cache that differ only in gamma build one set-up;
+    # setup_once, which times a set-up, still builds all of it
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    import tracing
+    import workload
+
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        c = tracer.counts
+        cache = ConversionCache()
+        for gamma in (1.0, 0.7):
+            spec = workload.spec_of(workload.problem(1.8, 0.7, gamma))
+            fracctrl.optimize(spec, fracctrl.SolverConfig(N=workload.SWEEP_N), cache=cache)
+        assert c["solver.optimize.calls"] == 2
+        assert c["operators.precond_build.calls"] == c["operators.rhs_setup.calls"] == 1
+        workload.setup_once(workload.problem(1.8, 0.7), workload.SWEEP_N, "fast")
+        assert c["operators.assemble.calls"] == 1
+        assert c["operators.precond_build.calls"] == c["operators.rhs_setup.calls"] == 2
+    finally:
+        tracer.uninstall()
+
+
 def test_traced_study_counts_follow_the_study(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(BENCH_DIR)
     monkeypatch.setenv("FRACCTRL_CACHE_DIR", str(tmp_path))

@@ -119,10 +119,10 @@ class TestConfig:
         assert "problem.f" in capsys.readouterr().err
 
     @pytest.mark.parametrize("problem", [
-        {"gamma": "abc"}, {"gamma": 0}, {"gamma": -1.0}, {"lambda1": "abc"},
-        {"lambda2": [1]}, {"data_regularity": "abc"},
-    ], ids=["gamma-string", "gamma-zero", "gamma-negative", "lambda1-string",
-            "lambda2-list", "regularity-string"])
+        {"gamma": "abc"}, {"gamma": 0}, {"gamma": -1.0}, {"gamma": 1e400}, {"lambda1": "abc"},
+        {"lambda1": -1e400}, {"lambda2": [1]}, {"data_regularity": "abc"},
+    ], ids=["gamma-string", "gamma-zero", "gamma-negative", "gamma-inf", "lambda1-string",
+            "lambda1-inf", "lambda2-list", "regularity-string"])
     def test_bad_problem_value_exits_2(self, tmp_path, capsys, problem):
         cfg = write_config(tmp_path, {"problem": problem,
                                       "solver": {"N": 8, "mode": "direct"}})

@@ -1,14 +1,18 @@
 """Tests for the projected-gradient driver: inner GMRES solves,
 control projection, and full optimize runs in both modes."""
 
+import gc
 import re
+import sys
+import threading
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from fracctrl import operators, transforms
+from fracctrl import operators, solver, transforms
 from fracctrl.fracparams import solve_sigma
 from fracctrl.jacobi import JacobiParams, gauss_jacobi_rule, jacobi_matrix, jacobi_norm_sq
 from fracctrl.operators import (
@@ -82,6 +86,19 @@ class TestConfig:
     def test_numpy_integer_count_accepted(self):
         cfg = SolverConfig(N=np.int64(16), inner_max=np.int32(50))
         assert cfg.N == 16 and cfg.inner_max == 50
+
+
+class TestProblemSpec:
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", 0.0), ("gamma", -1.0), ("gamma", float("nan")), ("gamma", float("inf")),
+        ("lambda1", float("nan")), ("lambda2", float("inf")), ("lambda2", -float("inf"))])
+    def test_bad_value_rejected_before_setup(self, field, value):
+        # the spec refuses it on construction, so no solve builds a set-up
+        # for it: without the check gamma = nan grew by a factor nan after
+        # the set-up, gamma = inf returned the uncontrolled state, and
+        # lambda1 = nan failed in the preconditioner
+        with pytest.raises(ValueError, match=field):
+            replace(example1_spec(), **{field: value})
 
 
 def h0_zframe(pair):
@@ -527,3 +544,146 @@ class TestOptimize:
                            gamma=1.0, f=chebyshev_expand(np.sin, M=64), u_d=None)
         triple = optimize(spec, SolverConfig(N=32, mode="fast"))
         assert np.all(np.isfinite(triple.U.coeffs))
+
+
+def assert_same_solve(a, b):
+    """Bitwise the same triple, outer and inner counts and residuals."""
+    for x, y in ((a.U.coeffs, b.U.coeffs), (a.Z.coeffs, b.Z.coeffs)):
+        assert x.tobytes() == y.tobytes()
+    assert a.q.constant_part.hex() == b.q.constant_part.hex()
+    assert a.stats.outer_iterations == b.stats.outer_iterations
+    assert a.stats.inner_iterations == b.stats.inner_iterations
+    assert a.stats.residual_history == b.stats.residual_history
+
+
+class TestSetupReuse:
+    """optimize keeps its gamma-independent set-up in its cache's slot."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        counts = {"preconditioners": 0, "rhs": 0}
+        build, init = solver.build_preconditioners, RhsAssembler.__init__
+
+        def counted_build(*args, **kwargs):
+            counts["preconditioners"] += 1
+            return build(*args, **kwargs)
+
+        def counted_init(self, *args, **kwargs):
+            counts["rhs"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "build_preconditioners", counted_build)
+        monkeypatch.setattr(RhsAssembler, "__init__", counted_init)
+        return counts
+
+    @pytest.mark.parametrize("mode", ["fast", "direct"])
+    @pytest.mark.parametrize("N", [64, 256])
+    def test_gamma_change_reuses_setup(self, builds, N, mode):
+        # N = 256 fast runs GMRES with its carried A x: the warm starts are
+        # the solve's own, so the second solve starts as a fresh one does
+        spec = example1_spec(alpha=1.8)
+        config = SolverConfig(N=N, mode=mode)
+        cache = ConversionCache()
+        first = optimize(spec, config, cache=cache)
+        assert not first.stats.setup_reused
+        assert builds == {"preconditioners": 1, "rhs": 1}
+        second = optimize(replace(spec, gamma=0.7), config, cache=cache)
+        assert second.stats.setup_reused
+        assert builds == {"preconditioners": 1, "rhs": 1}
+        fresh = optimize(replace(spec, gamma=0.7), config, cache=ConversionCache())
+        assert not fresh.stats.setup_reused
+        assert_same_solve(second, fresh)
+        assert_same_solve(first, optimize(spec, config, cache=ConversionCache()))
+
+    @pytest.mark.parametrize("N, change, reused", [
+        (64, {"N": 65}, False),
+        (256, {"mode": "direct"}, False),
+        (64, {"alpha": 1.7}, False),
+        (64, {"theta": 0.6}, False),
+        (64, {"lambda1": 2.0}, False),
+        (64, {"lambda2": 0.0}, False),
+        (64, {"f": "weighted"}, False),
+        (64, {"u_d": "scaled"}, False),
+        # K = N in both modes, so the set-ups are one
+        (64, {"mode": "direct"}, True),
+        (64, {"data_regularity": 2.0, "outer_tol": 1e-10, "inner_max": 50}, True),
+    ], ids=lambda v: str(v) if not isinstance(v, dict) else "-".join(v))
+    def test_changed_input(self, N, change, reused):
+        # anything the set-up depends on misses; what it does not hits; the
+        # result is a fresh solve's either way
+        spec, config = example1_spec(alpha=1.8), SolverConfig(N=N)
+        cache = ConversionCache()
+        optimize(spec, config, cache=cache)
+        data = {"weighted": SpectralFunction((0.1, 0.1), spec.f.poly_params, spec.f.coeffs),
+                "scaled": SpectralFunction(spec.u_d.weight_exponents, spec.u_d.poly_params,
+                                           2 * spec.u_d.coeffs)}
+        spec_changes = {k: data.get(v, v) for k, v in change.items()
+                        if k in ProblemSpec.__dataclass_fields__}
+        spec = replace(spec, **spec_changes)
+        config = replace(config, **{k: v for k, v in change.items() if k not in spec_changes})
+        triple = optimize(spec, config, cache=cache)
+        assert triple.stats.setup_reused == reused
+        assert_same_solve(triple, optimize(spec, config, cache=ConversionCache()))
+
+    def test_one_setup_kept(self, monkeypatch):
+        # the slot keeps the last solve's set-up alone: a solve at another
+        # discretization drops the first one's preconditioner
+        kept = []
+        build = solver.build_preconditioners
+
+        def recording_build(*args, **kwargs):
+            P, Phat = build(*args, **kwargs)
+            kept.append(weakref.ref(P))
+            return P, Phat
+
+        monkeypatch.setattr(solver, "build_preconditioners", recording_build)
+        spec, cache = example1_spec(alpha=1.8), ConversionCache()
+        optimize(spec, SolverConfig(N=64, mode="direct"), cache=cache)
+        gc.collect()
+        assert kept[0]() is not None
+        optimize(spec, SolverConfig(N=32, mode="direct"), cache=cache)
+        gc.collect()
+        assert kept[0]() is None and kept[1]() is not None
+        del cache
+        gc.collect()
+        assert kept[1]() is None
+
+    @pytest.mark.parametrize("mode, N", [("direct", 64), ("fast", 256)])
+    def test_failed_solve_leaves_cache_fit(self, mode, N):
+        # a solve that raises keeps the set-up it built, and the next one
+        # reuses it with fresh warm starts
+        spec, config, cache = example1_spec(alpha=1.8), SolverConfig(N=N, mode=mode), \
+            ConversionCache()
+        with pytest.raises(SolverError, match="grows by"):
+            optimize(replace(spec, gamma=0.001), config, cache=cache)
+        triple = optimize(spec, config, cache=cache)
+        assert triple.stats.setup_reused
+        assert_same_solve(triple, optimize(spec, config, cache=ConversionCache()))
+
+    def test_threads_sharing_a_cache(self):
+        # solves of two problems, in threads taking turns on one cache,
+        # replace each other's set-up but each gets a fresh solve's result
+        specs = [example1_spec(alpha=alpha) for alpha in (1.5, 1.8)]
+        config = SolverConfig(N=16)
+        expected = [optimize(spec, config) for spec in specs]
+        cache, errors = ConversionCache(), []
+
+        def run(i):
+            try:
+                for _ in range(10):
+                    assert_same_solve(optimize(specs[i], config, cache=cache), expected[i])
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i % 2,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
