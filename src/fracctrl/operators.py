@@ -211,8 +211,11 @@ def assemble_fast(N: int, pair: ExponentPair, lam1: float, lam2: float,
     return OperatorSet(N, pair, lam1, lam2, cache or ConversionCache())
 
 
-# modes 0..PRECOND_MODES of A are preconditioned exactly, by one LU
+# Up to N = FULL_LU_MODES a solve factors all of A (K = N), which beats
+# GMRES there on every case measured; above it GMRES runs on the fast apply,
+# preconditioned by one LU of A's modes 0..PRECOND_MODES
 PRECOND_MODES = 128
+FULL_LU_MODES = 512
 
 
 class BandedPreconditioner:
@@ -240,9 +243,9 @@ class BandedPreconditioner:
 def build_preconditioners(ops: OperatorSet, K: int | None = None
                           ) -> tuple[BandedPreconditioner, BandedPreconditioner]:
     """P, with A's exact leading block on modes 0..K (default
-    min(N, PRECOND_MODES)) and S + lam2*h^{alpha,alpha} on the modes above,
-    where S ~ n^alpha outweighs advection and mass; and its mirror
-    Phat = J P J, sharing P's factors.  For K = N, P = A."""
+    min(N, PRECOND_MODES), GMRES's block) and S + lam2*h^{alpha,alpha} on
+    the modes above, where S ~ n^alpha outweighs advection and mass; and
+    its mirror Phat = J P J, sharing P's factors.  For K = N, P = A."""
     N, a = ops.N, ops.pair.alpha
     K = min(N, PRECOND_MODES) if K is None else K
     tail = ops.S[K + 1:] + ops.lam2 * jacobi_norm_sq(np.arange(K + 1, N + 1), JacobiParams(a, a))
@@ -250,6 +253,13 @@ def build_preconditioners(ops: OperatorSet, K: int | None = None
     Phat = copy.copy(P)
     Phat.J = mirror(K)
     return P, Phat
+
+
+def _reflected(fun: SpectralFunction) -> SpectralFunction:
+    """fun(1-x): w^{a,b}(1-x) = w^{b,a}(x) and Q_n^{p,q}(1-x) = (-1)^n Q_n^{q,p}(x)."""
+    wa, wb = fun.weight_exponents
+    p, q = fun.poly_params.as_tuple()
+    return SpectralFunction((wb, wa), JacobiParams(q, p), mirror(fun.degree) * fun.coeffs)
 
 
 class RhsAssembler:
@@ -261,12 +271,13 @@ class RhsAssembler:
         = gram_u(U) - [data part, fixed]
 
     gram_z is the (s*,s)-frame Gram matrix under weight w^{2s*,2s}.  Up to
-    N = PRECOND_MODES, where linear_solves factors all of A, it is that
-    (N+1) x (N+1) matrix, multiplied out once from its WeightedGram's
-    conversions: there a matrix-vector product is cheaper than the FFT
-    chain.  Above, it and the data parts are WeightedGram applies, O(N log N)
-    each.  gram_u, its sigma-swapped counterpart, is gram_z between two
-    mirrors J.
+    N = PRECOND_MODES it is that (N+1) x (N+1) matrix, multiplied out once
+    from its WeightedGram's conversions: there a matrix-vector product is
+    cheaper than the FFT chain.  Above, it and the data parts are
+    WeightedGram applies, O(N log N) each.  gram_u, its sigma-swapped
+    counterpart, is gram_z between two mirrors J, and the data part of G is
+    likewise J times F's projection of u_d reflected by x -> 1-x, so data f
+    and u_d in one basis share their conversions.
     """
 
     def __init__(self, N: int, pair: ExponentPair, f: SpectralFunction | None,
@@ -280,17 +291,18 @@ class RhsAssembler:
         self.J = mirror(N)
         gram_z = WeightedGram(cache, P(b, g), P(2 * b, 2 * g), P(b, g), N, N)
         self.gram_z = gram_z.matrix().__matmul__ if N <= PRECOND_MODES else gram_z
-        self.F_data = self._project_data(f, P(b, g), cache) if f is not None else np.zeros(N + 1)
-        self.G_data = (self._project_data(u_d, P(g, b), cache) if u_d is not None
+        self.F_data = self._project_data(f, cache) if f is not None else np.zeros(N + 1)
+        self.G_data = (self.J * self._project_data(_reflected(u_d), cache) if u_d is not None
                        else np.zeros(N + 1))
 
-    def _project_data(self, fun: SpectralFunction, test: JacobiParams,
-                      cache: ConversionCache) -> np.ndarray:
-        """(fun, Q_m^{test})_{w^{test}}: the polynomial part's Gram under
-        w^{T}, T = test + fun.weight_exponents."""
+    def _project_data(self, fun: SpectralFunction, cache: ConversionCache) -> np.ndarray:
+        """(fun, Q_m^{s*,s})_{w^{s*,s}}: the polynomial part's Gram under
+        w^{T}, T = (s*, s) + fun.weight_exponents."""
         wa, wb = fun.weight_exponents
-        T = JacobiParams(test.gamma + wa, test.beta + wb)
-        return WeightedGram(cache, fun.poly_params, T, test, fun.degree, self.N)(fun.coeffs)
+        b, g = self.pair.sigma_star, self.pair.sigma
+        T = JacobiParams(b + wa, g + wb)
+        return WeightedGram(cache, fun.poly_params, T, JacobiParams(b, g), fun.degree,
+                            self.N)(fun.coeffs)
 
     def rhs_F(self, c: float, Zq: np.ndarray, gamma: float) -> np.ndarray:
         F = self.F_data.copy()

@@ -6,8 +6,9 @@ q_new = max{0, zbar}/gamma - z/gamma, and stop when the relative sup-norm
 change of the control representation falls below the outer tolerance.
 It sees the two linear systems only as a pair of solve callables from
 linear_solves, over the LU of A's leading (K+1) x (K+1) block: with
-K = N that LU alone answers every solve, and below it GMRES runs with the
-block as its preconditioner, warm-started from the last outer iterate.
+K = N (direct mode, or N <= FULL_LU_MODES) that LU alone answers every
+solve, and with K = PRECOND_MODES GMRES runs with the block as its
+preconditioner, warm-started from the last outer iterate.
 Nothing built before the first iteration depends on gamma, so optimize
 keeps that set-up in its ConversionCache's slot, and the next solve on the
 cache with the same discretization and data reuses it.
@@ -26,8 +27,8 @@ import numpy as np
 
 from .fracparams import ExponentPair, solve_sigma
 from .jacobi import JacobiParams, jacobi_norm_sq
-from .operators import (PRECOND_MODES, BandedPreconditioner, OperatorSet, RhsAssembler,
-                        assemble_fast, build_preconditioners, mirror)
+from .operators import (FULL_LU_MODES, PRECOND_MODES, BandedPreconditioner, OperatorSet,
+                        RhsAssembler, assemble_fast, build_preconditioners, mirror)
 from .transforms import ConversionCache, SpectralFunction
 
 
@@ -66,7 +67,7 @@ class ProblemSpec:
 @dataclass
 class SolverConfig:
     N: int = 64
-    mode: str = "fast"  # one of MODES: "direct" sets linear_solves' K to N
+    mode: str = "fast"  # one of MODES: "direct" sets K = N above FULL_LU_MODES too
     inner_max: int = 400
     outer_tol: float = 1e-12
     outer_max: int = 5000
@@ -252,8 +253,9 @@ def _build_setup(N: int, K: int, pair: ExponentPair, spec: ProblemSpec,
 def linear_solves(ops: OperatorSet, P: BandedPreconditioner, Phat: BandedPreconditioner,
                   config: SolverConfig):
     """(state_solve, adjoint_solve), each mapping (rhs, tol) to (x, iterations,
-    converged), from P: the LU of A's leading (K+1) x (K+1) block.  At K = N,
-    P = A, each solve is P's LU alone (residual-checked, tol ignored) and no
+    converged), from P: the LU of A's leading (K+1) x (K+1) block.  At K = N
+    (optimize's K up to FULL_LU_MODES, and direct mode's above), P = A, each
+    solve is P's LU alone (residual-checked, tol ignored) and no operator
     Gram is built.  Below N, GMRES preconditioned by P and Phat = J P J runs
     on the factored applies to the relative residual tol, warm-started from
     its last x with A x carried along, so a warm start costs no apply.  The
@@ -336,8 +338,9 @@ def _outer_loop(solves, asm: RhsAssembler, gamma: float, config: SolverConfig,
 def optimize(spec: ProblemSpec, config: SolverConfig,
              cache: ConversionCache | None = None) -> OptimalTriple:
     """Full solve: the outer loop at config.N from q = 0, U = Z = 0, with
-    the linear solves of linear_solves, K = N in direct mode and
-    min(N, PRECOND_MODES) otherwise.
+    the linear solves of linear_solves over K = N in direct mode or at
+    N <= FULL_LU_MODES, where one LU of all of A beats GMRES, and over
+    K = PRECOND_MODES in fast mode above.
 
     The set-up (operator set, preconditioners, right-hand-side assembler)
     is looked up in cache's slot under _setup_key and built only on a miss,
@@ -346,7 +349,7 @@ def optimize(spec: ProblemSpec, config: SolverConfig,
     solve with another key replaces it."""
     t0 = time.perf_counter()
     N = config.N
-    K = N if config.mode == "direct" else min(N, PRECOND_MODES)
+    K = N if config.mode == "direct" or N <= FULL_LU_MODES else PRECOND_MODES
     pair = spec.exponent_pair()
     cache = cache or ConversionCache()
     stats = SolveStats()

@@ -22,10 +22,11 @@ def test_traced_counts_follow_the_solve(monkeypatch):
     try:
         tracer.install()
         c = tracer.counts
-        fast = fracctrl.optimize(spec, fracctrl.SolverConfig(N=256, mode="fast"),
+        fast = fracctrl.optimize(spec, fracctrl.SolverConfig(N=640, mode="fast"),
                                  cache=ConversionCache())
         iterations = sum(map(sum, fast.stats.inner_iterations))
-        # one apply_A or apply_B per GMRES iteration, each counted once
+        # above FULL_LU_MODES: one apply_A or apply_B per GMRES iteration,
+        # each counted once
         assert c["operators.matvec.calls"] == c["solver.inner_iterations"] == iterations > 0
         assert c["operators.assemble.calls"] == c["operators.precond_build.calls"] == 1
         direct = fracctrl.optimize(spec, fracctrl.SolverConfig(N=64, mode="direct"),

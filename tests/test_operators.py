@@ -222,7 +222,8 @@ class TestFastApply:
 
     def test_conversions_shared_and_no_identity(self, monkeypatch):
         # only A is assembled (B is its mirror), equal parameters take no
-        # step, and a term with a zero coefficient builds no conversion
+        # step, a term with a zero coefficient builds no conversion, and
+        # data f and u_d in one basis share their projections' conversions
         built = []
         build = ConversionMatrix.build.__func__
 
@@ -236,6 +237,13 @@ class TestFastApply:
         built.clear()
         RhsAssembler(32, solve_sigma(0.7, 1.6), None, None)  # gram_u is gram_z mirrored
         assert len(built) == 2
+        built.clear()
+        f, u_d = chebyshev_expand(np.sin, M=64), chebyshev_expand(np.cos, M=64)
+        RhsAssembler(32, solve_sigma(0.7, 1.6), f, None)
+        alone = len(built)
+        built.clear()
+        RhsAssembler(32, solve_sigma(0.7, 1.6), f, u_d)  # u_d's projection is f's, reflected
+        assert len(built) == alone > 2
         built.clear()
         assemble_fast(32, solve_sigma(1.0, 1.6), 1.0, 1.0)
         assert built and all(src != dst for src, dst in built)
@@ -467,6 +475,19 @@ class TestRhs:
             lambda x: np.ones_like(x), JacobiParams(g, b), N, (2 * g, 2 * b)
         )
         assert np.max(np.abs(G - oracle)) < 1e-13
+
+    def test_g_data_against_oracle(self):
+        # u_d with unequal weight exponents and basis parameters, projected
+        # as J times F's projection of u_d(1-x): G for U = 0 is
+        # -(u_d, Q_m^{s,s*})_{w^{s,s*}}
+        pair = solve_sigma(0.7, 1.6)
+        g, b = pair.sigma, pair.sigma_star
+        N = 16
+        u = SpectralFunction((0.3, -0.2), JacobiParams(0.2, -0.3),
+                             np.random.default_rng(7).standard_normal(12))
+        G = RhsAssembler(N, pair, None, u).rhs_G(np.zeros(N + 1))
+        oracle = quadrature_rhs_oracle(u.poly_values, JacobiParams(g, b), N, (g + 0.3, b - 0.2))
+        assert rel_err(-G, oracle) < 1e-13
 
     def test_g_linearity(self):
         pair = solve_sigma(0.7, 1.6)

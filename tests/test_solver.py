@@ -16,6 +16,7 @@ from fracctrl import operators, solver, transforms
 from fracctrl.fracparams import solve_sigma
 from fracctrl.jacobi import JacobiParams, gauss_jacobi_rule, jacobi_matrix, jacobi_norm_sq
 from fracctrl.operators import (
+    FULL_LU_MODES,
     PRECOND_MODES,
     OperatorSet,
     RhsAssembler,
@@ -265,11 +266,11 @@ class TestFixedPoint:
 
 class TestOptimize:
     def test_direct_and_fast_agree(self):
-        # above the block, where fast mode runs GMRES and direct mode the LU
+        # above FULL_LU_MODES, where fast mode runs GMRES and direct mode the LU
         spec = example1_spec(alpha=1.6, theta=0.7)
         cache = ConversionCache()
-        t_direct = optimize(spec, SolverConfig(N=256, mode="direct"), cache=cache)
-        t_fast = optimize(spec, SolverConfig(N=256, mode="fast"), cache=cache)
+        t_direct = optimize(spec, SolverConfig(N=640, mode="direct"), cache=cache)
+        t_fast = optimize(spec, SolverConfig(N=640, mode="fast"), cache=cache)
         for a, b in ((t_direct.U, t_fast.U), (t_direct.Z, t_fast.Z)):
             assert np.linalg.norm(a.coeffs - b.coeffs) < 1e-9 * np.linalg.norm(a.coeffs)
         assert t_direct.q.constant_part == pytest.approx(
@@ -284,11 +285,13 @@ class TestOptimize:
             fn = getattr(OperatorSet, name)
             monkeypatch.setattr(OperatorSet, name,
                                 lambda self, x, fn=fn: calls.append(1) or fn(self, x))
-        triple = optimize(example1_spec(alpha=1.8), SolverConfig(N=256, mode="fast"))
+        triple = optimize(example1_spec(alpha=1.8),
+                          SolverConfig(N=FULL_LU_MODES + 1, mode="fast"))
         iterations = sum(iu + iz for iu, iz in triple.stats.inner_iterations)
         assert triple.stats.outer_iterations == 8
-        # N = 256 is above the preconditioner's exact block, yet every
-        # solve takes one iteration here
+        # N = FULL_LU_MODES + 1 is the first N at which fast mode runs GMRES
+        # over the preconditioner's exact block, yet every solve takes one
+        # iteration here
         assert len(calls) == iterations == 16
 
     def test_fast_mode_within_block_is_the_lu(self, monkeypatch):
@@ -321,16 +324,39 @@ class TestOptimize:
         triple = optimize(spec, SolverConfig(N=N, mode="direct"), cache=cache)
         assert max(kkt_residuals(spec, triple, cache)) <= 1e-11
 
+    @pytest.mark.parametrize("N", [PRECOND_MODES + 1, 256, FULL_LU_MODES])
+    def test_fast_mode_is_the_lu_up_to_full_lu_modes(self, monkeypatch, N):
+        # K comes from one rule: up to FULL_LU_MODES fast mode factors all
+        # of A, so its triple is direct mode's bit for bit, with no operator
+        # apply (test_fast_mode_one_apply_per_iteration runs GMRES above)
+        calls = []
+        for name in ("apply_A", "apply_B"):
+            monkeypatch.setattr(OperatorSet, name, lambda self, x: calls.append(name))
+        spec = example1_spec(alpha=1.8)
+        fast = optimize(spec, SolverConfig(N=N, mode="fast"))
+        assert calls == [] and all(its == (0, 0) for its in fast.stats.inner_iterations)
+        assert_same_solve(fast, optimize(spec, SolverConfig(N=N, mode="direct")))
+
+    def test_worst_sweep_case_meets_the_oracle(self):
+        # the worst KKT residual of a random sweep of the admissible domain
+        # (alpha, theta, lambda1, lambda2) = (1.28, 1, 8.49, 0) at N = 256:
+        # GMRES on the fast apply read 5.0e-11 against the dense oracle, the
+        # LU of all of A, which fast mode now takes there, 4.7e-12
+        spec = replace(example1_spec(alpha=1.28, theta=1.0), lambda1=8.49, lambda2=0.0)
+        cache = ConversionCache()
+        triple = optimize(spec, SolverConfig(N=256, mode="fast"), cache=cache)
+        assert max(kkt_residuals(spec, triple, cache)) <= 1e-11
+
     @pytest.mark.parametrize("alpha, theta, lam1, most", [
         (1.8, 0.7, 1.0, 16), (1.5, 0.7, 10.0, 58), (1.5, 1.0, 1.0, 22),
         (1.2, 0.7, 1.0, 87), (1.2, 1.0, 1.0, 44)])
     def test_inner_iterations_per_optimize(self, alpha, theta, lam1, most):
         # guards the choice of PRECOND_MODES: total GMRES iterations of an
         # Example-1 optimize stay at these counts and do not grow from
-        # N = 512 to 1024
+        # N = 1024 to 2048 (up to FULL_LU_MODES the LU of A solves alone)
         spec = replace(example1_spec(alpha=alpha, theta=theta), lambda1=lam1)
         counts = [sum(map(sum, optimize(spec, SolverConfig(N=N)).stats.inner_iterations))
-                  for N in (512, 1024)]
+                  for N in (1024, 2048)]
         assert counts[0] <= most and counts[0] == counts[1]
 
     def test_direct_mode_factors_once(self, monkeypatch):
@@ -355,7 +381,7 @@ class TestOptimize:
         assert calls == {"dense_A": 0, "dense_B": 0, "leading_block": 1, "dgetrf": 1}
 
     @pytest.mark.parametrize("mode", ["fast", "direct"])
-    @pytest.mark.parametrize("N", [64, 256])
+    @pytest.mark.parametrize("N", [64, 256, 640])
     def test_no_gauss_rule_on_the_solve_path(self, monkeypatch, N, mode):
         # A's block comes from recurrences and the conversions from closed
         # forms: an optimize builds no Gauss rule in either mode
@@ -421,14 +447,14 @@ class TestOptimize:
         assert abs(counts[0] - counts[1]) <= 2
 
     @pytest.mark.parametrize("mode, N, small, converged_at",
-                             [("direct", 64, 8, 135), ("fast", 256, 160, 135)],
+                             [("direct", 64, 8, 135), ("fast", 640, 160, 135)],
                              ids=["direct", "fast"])
     def test_outer_budget_stops_divergence(self, mode, N, small, converged_at):
         # small gamma: the projected gradient diverges (alpha 1.8, 1.05) or
         # settles into a 2-cycle (alpha 1.2, gamma 0.2); the budget rule
         # stops each run early, at the requested N, instead of returning
         # overflowed values or running all of outer_max, and says which.
-        # Fast mode runs above PRECOND_MODES, where it is GMRES, not the LU
+        # Fast mode runs above FULL_LU_MODES, where it is GMRES, not the LU
         grows, slow = "grows by", "contracts by .* against outer_max"
         cases = [(1.8, 0.001, N, 2, grows), (1.8, 0.001, small, 2, grows),
                  (1.2, 0.2, N, 20, slow), (1.05, 0.1, N, 2, grows)]
@@ -470,11 +496,14 @@ class TestOptimize:
     @pytest.mark.parametrize("alpha, gamma, verb, count", [
         (1.15, 1.0, "converges in", 22), (1.1, 1.0, "converges in", 24),
         (1.05, 1.0, "raises at", 2), (1.05, 0.1, "raises at", 2)])
-    def test_gmres_matches_lu_near_alpha_one(self, alpha, gamma, verb, count):
-        # the same comparison above the block, where fast mode runs GMRES on
-        # the fast apply.  Direct mode's triple meets the oracle's KKT system
-        # to 1e-11; fast mode's to 1e-10, the fast apply's own agreement with
-        # the oracle near alpha = 1 (it reads 6.3e-11 at alpha = 1.1)
+    def test_gmres_matches_lu_near_alpha_one(self, monkeypatch, alpha, gamma, verb, count):
+        # the same comparison on GMRES's path, with fast mode running GMRES
+        # on the fast apply at N = 256, as it does above FULL_LU_MODES.
+        # Direct mode's triple meets the oracle's KKT system to 1e-11; fast
+        # mode's to 1e-10, the fast apply's own agreement with the oracle
+        # near alpha = 1 (it reads 6.3e-11 at alpha = 1.1, and 2.2e-10 at
+        # N = 640, which is why the test lowers the threshold, not N)
+        monkeypatch.setattr(solver, "FULL_LU_MODES", PRECOND_MODES)
         spec = example1_spec(alpha=alpha, gamma=gamma)
         cache = ConversionCache()
         for mode, bound in (("direct", 1e-11), ("fast", 1e-10)):
@@ -485,6 +514,7 @@ class TestOptimize:
                 got = ("raises at", int(re.search(r"at iteration (\d+)", str(exc))[1]))
             else:
                 assert max(kkt_residuals(spec, triple, cache)) <= bound
+                assert (sum(map(sum, triple.stats.inner_iterations)) > 0) == (mode == "fast")
                 got = ("converges in", triple.stats.outer_iterations)
             assert got == (verb, count)
 
@@ -577,9 +607,9 @@ class TestSetupReuse:
         return counts
 
     @pytest.mark.parametrize("mode", ["fast", "direct"])
-    @pytest.mark.parametrize("N", [64, 256])
+    @pytest.mark.parametrize("N", [64, 256, 640])
     def test_gamma_change_reuses_setup(self, builds, N, mode):
-        # N = 256 fast runs GMRES with its carried A x: the warm starts are
+        # N = 640 fast runs GMRES with its carried A x: the warm starts are
         # the solve's own, so the second solve starts as a fresh one does
         spec = example1_spec(alpha=1.8)
         config = SolverConfig(N=N, mode=mode)
@@ -597,15 +627,16 @@ class TestSetupReuse:
 
     @pytest.mark.parametrize("N, change, reused", [
         (64, {"N": 65}, False),
-        (256, {"mode": "direct"}, False),
+        (640, {"mode": "direct"}, False),
         (64, {"alpha": 1.7}, False),
         (64, {"theta": 0.6}, False),
         (64, {"lambda1": 2.0}, False),
         (64, {"lambda2": 0.0}, False),
         (64, {"f": "weighted"}, False),
         (64, {"u_d": "scaled"}, False),
-        # K = N in both modes, so the set-ups are one
+        # K = N in both modes up to FULL_LU_MODES, so the set-ups are one
         (64, {"mode": "direct"}, True),
+        (256, {"mode": "direct"}, True),
         (64, {"data_regularity": 2.0, "outer_tol": 1e-10, "inner_max": 50}, True),
     ], ids=lambda v: str(v) if not isinstance(v, dict) else "-".join(v))
     def test_changed_input(self, N, change, reused):
@@ -648,7 +679,7 @@ class TestSetupReuse:
         gc.collect()
         assert kept[1]() is None
 
-    @pytest.mark.parametrize("mode, N", [("direct", 64), ("fast", 256)])
+    @pytest.mark.parametrize("mode, N", [("direct", 64), ("fast", 256), ("fast", 640)])
     def test_failed_solve_leaves_cache_fit(self, mode, N):
         # a solve that raises keeps the set-up it built, and the next one
         # reuses it with fresh warm starts
