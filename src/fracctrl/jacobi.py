@@ -105,15 +105,6 @@ def jacobi_matrix(nmax: int, p: JacobiParams, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_jacobi(n: int, p: JacobiParams, x: float | np.ndarray) -> float | np.ndarray:
-    """Q_n^{g,b}(x) on [0,1] by forward recurrence."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    vals = jacobi_matrix(n, p, np.atleast_1d(x))[n]
-    return float(vals[0]) if x.ndim == 0 else vals
-
-
 def _recurrence(n: int, p: JacobiParams) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of the orthonormal recurrence for w^{g,b} in t = 2x-1,
     b_{k+1} p_{k+1}(t) = (t - a_k) p_k(t) - b_k p_{k-1}(t):  a_0..a_{n-1},

@@ -10,7 +10,9 @@ Dense assembly via exact Gauss-Jacobi quadrature is the normative
 definition; the fast path applies the same operators in O(N log N) through
 one weighted Gram of factored Jacobi conversions per apply (the mass term is
 three bands of the weak-advection Gram) and is validated against the dense
-form.
+form.  A's leading block, and every right-hand-side Gram up to
+N = FULL_LU_MODES, come column by column from one quadrature-free
+recurrence, gram_columns.
 """
 
 from __future__ import annotations
@@ -52,6 +54,60 @@ def stiffness_diagonal(N: int, pair: ExponentPair) -> np.ndarray:
         raise AssemblyError("eigenvalue theta/(1-theta) symmetry violated")
     h = jacobi_norm_sq(nn, JacobiParams(pair.sigma, pair.sigma_star))
     return lam * h
+
+
+def gram_columns(trial: JacobiParams, test: JacobiParams, weight: JacobiParams,
+                 ncols: int, nrows: int):
+    """Yield the columns n = 0..ncols-1 of the Gram
+    G[m, n] = (Q_n^{trial}, Q_m^{test})_{w^{weight}}, rows m = 0..nrows-1,
+    by two recurrences, with no quadrature (the modified Chebyshev
+    algorithm; Gautschi 2004, sec. 2.1.7):
+
+    - column 0 holds the moments nu_m of Q_m^{p,q}, (p, q) = test, under
+      w^{c,d}, (c, d) = weight.  Integrating (w^{c+1,d+1} P_m)' over
+      [-1, 1] gives 0 = int w^{c,d} [(1-t^2) P_m' + (d-c - (c+d+2) t) P_m],
+      and the structure relation (Szego 4.5)
+      (2m+p+q)(1-t^2) P_m' = m(p-q-(2m+p+q)t) P_m + 2(m+p)(m+q) P_{m-1}
+      turns it into a three-term recurrence for nu_m, from
+      nu_0 = B(c+1, d+1) and nu_1 = ((p+q+2)(d-c)/(c+d+2) + p-q)/2 nu_0;
+    - column n follows from columns n-1 and n-2 by the trial basis's
+      recurrence, where multiplying by t acts on a column through the
+      test basis's: (t f, Q_m) = A_m G[m+1] + B_m G[m] + C_m G[m-1].
+
+    Each column thus needs one more row than the next, so column 0 runs
+    to row nrows+ncols-2.  Only the last two columns are kept; each
+    yielded column is a new array."""
+    (p, q), (c, d) = test.as_tuple(), weight.as_tuple()
+    rows = nrows + ncols - 1  # column 0's rows
+    # t Q_m = A_m Q_{m+1} + B_m Q_m + C_m Q_{m-1} in the test basis
+    t1, t2, t3, t4 = recurrence_coeffs(np.arange(1.0, rows), test)
+    A, B, C = t1 / t3, -t2 / t3, t4 / t3
+    # nu_{m+1} = e1_m nu_m + e2_m nu_{m-1}, m >= 1: int w^{c,d} t P_m from the
+    # structure relation, equated with A_m nu_{m+1} + B_m nu_m + C_m nu_{m-1}
+    m = np.arange(1.0, rows - 1)
+    mcd = m + (c + d) + 2
+    scale = (2 * m + p + q) * mcd
+    e1 = ((m * (p - q) / scale + (d - c) / mcd - B[1:]) / A[1:]).tolist()
+    e2 = ((2 * (m + p) * (m + q) / scale - C[1:]) / A[1:]).tolist()
+    nu = [float(jacobi_norm_sq(0, weight))]  # B(c+1, d+1)
+    nu.append(((p + q + 2) * (d - c) / (c + d + 2) + p - q) / 2 * nu[0])
+    for k in range(rows - 2):
+        nu.append(e1[k] * nu[k + 1] + e2[k] * nu[k])
+    # column n = (c3 t G_{n-1} + c2 G_{n-1} - c4 G_{n-2}) / c1, formed in place
+    c1, c2, c3, c4 = (x.tolist() for x in recurrence_coeffs(np.arange(1.0, ncols), trial))
+    col, prev = np.array(nu[:rows]), np.zeros(rows)
+    yield col[:nrows]
+    for k in range(ncols - 1):
+        L = rows - k - 1
+        new = A[:L] * col[1:L + 1]
+        new += B[:L] * col[:L]
+        new[1:] += C[1:L] * col[:L - 1]
+        new *= c3[k]
+        new += c2[k] * col[:L]
+        new -= c4[k] * prev[:L]
+        new /= c1[k]
+        col, prev = new, col
+        yield col[:nrows]
 
 
 class OperatorSet:
@@ -127,53 +183,16 @@ class OperatorSet:
     def leading_block(self, K: int) -> np.ndarray:
         """A's leading (K+1) x (K+1) block, which is A_K: the bases are
         hierarchical.  It is S plus _lower_order of the Gram
-        G[m, n] = (Q_n^{g,b}, Q_m^{b-1,g-1})_{w^{a-1,a-1}}, m = 0..K+2, built
-        column by column by two recurrences, with no quadrature (the
-        modified Chebyshev algorithm; Gautschi 2004, sec. 2.1.7):
-
-        - column 0 holds the moments nu_m of Q_m^{p,q}, p = b-1, q = g-1,
-          under w^{c,c}, c = a-1.  Integrating (w^{c+1,c+1} P_m)' over
-          [-1, 1] gives 0 = int (1-t^2)^c [(1-t^2) P_m' - 2(c+1) t P_m],
-          and the structure relation (Szego 4.5)
-          (2m+p+q)(1-t^2) P_m' = m(p-q-(2m+p+q)t) P_m + 2(m+p)(m+q) P_{m-1}
-          turns it into a three-term recurrence for nu_m, from
-          nu_0 = B(c+1, c+1) and nu_1 = (p-q)/2 nu_0;
-        - column n follows from columns n-1 and n-2 by the trial basis's
-          recurrence, where multiplying by t acts on a column through the
-          test basis's: (t f, Q_m) = A_m G[m+1] + B_m G[m] + C_m G[m-1].
-
-        Each column thus needs one more row than the next, so column 0
-        runs to row 2K+2 for column K to reach row K+2.  Each column is
-        combined as the apply combines W as soon as it is made, so no
+        G[m, n] = (Q_n^{g,b}, Q_m^{b-1,g-1})_{w^{a-1,a-1}}, m = 0..K+2, whose
+        columns gram_columns yields one at a time, with no quadrature.  Each
+        is combined as the apply combines W as soon as it is made, so no
         Gram is kept."""
         a, g, b = self.pair.alpha, self.pair.sigma, self.pair.sigma_star
-        c, p, q = a - 1, b - 1, g - 1
-        rows = 2 * K + 3  # column 0's rows, m = 0..2K+2
-        # t Q_m = A_m Q_{m+1} + B_m Q_m + C_m Q_{m-1} in the test basis
-        t1, t2, t3, t4 = recurrence_coeffs(np.arange(1.0, rows), JacobiParams(p, q))
-        A, B, C = t1 / t3, -t2 / t3, t4 / t3
-        # nu_{m+1} = e1_m nu_m + e2_m nu_{m-1}: int w^{c,c} t P_m from the
-        # structure relation, equated with A_m nu_{m+1} + B_m nu_m + C_m nu_{m-1}
-        m = np.arange(rows - 1.0)
-        scale = (2 * m + p + q) * (m + 2 * c + 2)
-        e1 = ((m * (p - q) / scale - B) / A).tolist()
-        e2 = ((2 * (m + p) * (m + q) / scale - C) / A).tolist()
-        nu = [float(jacobi_norm_sq(0, JacobiParams(c, c)))]  # B(c+1, c+1)
-        nu.append((p - q) / 2 * nu[0])
-        for k in range(1, rows - 1):
-            nu.append(e1[k] * nu[k] + e2[k] * nu[k - 1])
-        # column n = (c2 G_{n-1} + c3 t G_{n-1} - c4 G_{n-2}) / c1
-        c1, c2, c3, c4 = recurrence_coeffs(np.arange(1.0, K + 1), JacobiParams(g, b))
-        col, prev = np.array(nu), np.zeros(rows)
+        P = JacobiParams
         blockT = np.empty((K + 1, K + 1))  # row n is the block's column n
-        blockT[0] = self._lower_order(col[:K + 3])
-        for n in range(1, K + 1):
-            L = rows - n
-            tcol = A[:L] * col[1:L + 1] + B[:L] * col[:L]
-            tcol[1:] += C[1:L] * col[:L - 1]
-            k = n - 1
-            col, prev = (c2[k] * col[:L] + c3[k] * tcol - c4[k] * prev[:L]) / c1[k], col
-            blockT[n] = self._lower_order(col[:K + 3])
+        for n, col in enumerate(gram_columns(P(g, b), P(b - 1, g - 1), P(a - 1, a - 1),
+                                             K + 1, K + 3)):
+            blockT[n] = self._lower_order(col)
         block = blockT.T
         block[np.diag_indices(K + 1)] += self.S[:K + 1]
         return block
@@ -212,8 +231,9 @@ def assemble_fast(N: int, pair: ExponentPair, lam1: float, lam2: float,
 
 
 # Up to N = FULL_LU_MODES a solve factors all of A (K = N), which beats
-# GMRES there on every case measured; above it GMRES runs on the fast apply,
-# preconditioned by one LU of A's modes 0..PRECOND_MODES
+# GMRES there on every case measured, and forms its right-hand sides' Grams
+# by gram_columns; above it GMRES runs on the fast apply, preconditioned by
+# one LU of A's modes 0..PRECOND_MODES, and those Grams are WeightedGrams
 PRECOND_MODES = 128
 FULL_LU_MODES = 512
 
@@ -270,14 +290,15 @@ class RhsAssembler:
     G_m = (u_N - u_d, Q_m^{s,s*})_{w^{s,s*}}
         = gram_u(U) - [data part, fixed]
 
-    gram_z is the (s*,s)-frame Gram matrix under weight w^{2s*,2s}.  Up to
-    N = PRECOND_MODES it is that (N+1) x (N+1) matrix, multiplied out once
-    from its WeightedGram's conversions: there a matrix-vector product is
-    cheaper than the FFT chain.  Above, it and the data parts are
-    WeightedGram applies, O(N log N) each.  gram_u, its sigma-swapped
+    gram_z is the (s*,s)-frame Gram under weight w^{2s*,2s}, and each data
+    part the Gram of the data's basis against Q^{s*,s} under w^{s*,s} times
+    the data's weight, applied to its coefficients.  Up to N = FULL_LU_MODES,
+    where a solve factors all of A, each Gram is a matrix from gram_columns,
+    the recurrence that builds A's block, so no conversion is built; above,
+    each is a WeightedGram, O(N log N) per apply.  gram_u, its sigma-swapped
     counterpart, is gram_z between two mirrors J, and the data part of G is
     likewise J times F's projection of u_d reflected by x -> 1-x, so data f
-    and u_d in one basis share their conversions.
+    and u_d in one basis and weight share one Gram.
     """
 
     def __init__(self, N: int, pair: ExponentPair, f: SpectralFunction | None,
@@ -289,20 +310,31 @@ class RhsAssembler:
         P = JacobiParams
         self.h0_zframe = float(jacobi_norm_sq(0, P(b, g)))
         self.J = mirror(N)
-        gram_z = WeightedGram(cache, P(b, g), P(2 * b, 2 * g), P(b, g), N, N)
-        self.gram_z = gram_z.matrix().__matmul__ if N <= PRECOND_MODES else gram_z
-        self.F_data = self._project_data(f, cache) if f is not None else np.zeros(N + 1)
-        self.G_data = (self.J * self._project_data(_reflected(u_d), cache) if u_d is not None
+        self.gram_z = self._gram(P(b, g), P(2 * b, 2 * g), N, cache)
+        grams = {}
+
+        def project(fun: SpectralFunction) -> np.ndarray:
+            wa, wb = fun.weight_exponents
+            key = (fun.poly_params, wa, wb, fun.degree)
+            if key not in grams:
+                grams[key] = self._gram(fun.poly_params, P(b + wa, g + wb), fun.degree, cache)
+            return grams[key](fun.coeffs)
+
+        self.F_data = project(f) if f is not None else np.zeros(N + 1)
+        self.G_data = (self.J * project(_reflected(u_d)) if u_d is not None
                        else np.zeros(N + 1))
 
-    def _project_data(self, fun: SpectralFunction, cache: ConversionCache) -> np.ndarray:
-        """(fun, Q_m^{s*,s})_{w^{s*,s}}: the polynomial part's Gram under
-        w^{T}, T = (s*, s) + fun.weight_exponents."""
-        wa, wb = fun.weight_exponents
-        b, g = self.pair.sigma_star, self.pair.sigma
-        T = JacobiParams(b + wa, g + wb)
-        return WeightedGram(cache, fun.poly_params, T, JacobiParams(b, g), fun.degree,
-                            self.N)(fun.coeffs)
+    def _gram(self, trial: JacobiParams, weight: JacobiParams, k_in: int,
+              cache: ConversionCache):
+        """v -> (sum_n v_n Q_n^{trial}, Q_m^{s*,s})_{w^{weight}}, m = 0..N,
+        for v of length k_in+1."""
+        N, test = self.N, JacobiParams(self.pair.sigma_star, self.pair.sigma)
+        if N > FULL_LU_MODES:
+            return WeightedGram(cache, trial, weight, test, k_in, N)
+        GT = np.empty((k_in + 1, N + 1))
+        for n, col in enumerate(gram_columns(trial, test, weight, k_in + 1, N + 1)):
+            GT[n] = col
+        return GT.T.__matmul__
 
     def rhs_F(self, c: float, Zq: np.ndarray, gamma: float) -> np.ndarray:
         F = self.F_data.copy()

@@ -7,11 +7,9 @@ quadrature oracle (the normative definition); the Factored form stores the
 closed-form decomposition C = D1 (T o H) D2 with T Toeplitz and H Hankel,
 and applies it in O(r k log k) via FFT after a pivoted Cholesky of the
 positive-semidefinite Hankel factor (a large apply splits the factor's
-rows between the calling thread and helper threads, one per further CPU);
-dense() forms the same C from those factors, for sizes at which a
-matrix-vector product beats the FFTs.
+rows between the calling thread and helper threads, one per further CPU).
 WeightedGram composes conversions into the weighted inner products of a
-series against a Jacobi basis, or multiplies them out into one matrix.
+series against a Jacobi basis.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import dct, next_fast_len
-from scipy.linalg import toeplitz
 from scipy.special import gammaln
 
 from .jacobi import JacobiParams, gauss_jacobi_rule, jacobi_matrix, jacobi_norm_sq
@@ -154,7 +151,6 @@ class ConversionMatrix:
     _D1: np.ndarray = field(repr=False, default=None)
     _D2: np.ndarray = field(repr=False, default=None)
     _L: np.ndarray = field(repr=False, default=None)
-    _t: np.ndarray = field(repr=False, default=None)
     _that: np.ndarray = field(repr=False, default=None)
     _that_T: np.ndarray = field(repr=False, default=None)
     _col0: np.ndarray | None = field(repr=False, default=None)
@@ -205,7 +201,7 @@ class ConversionMatrix:
         that_T = np.fft.rfft(tpad_T)
         return cls(
             k=k, from_params=from_params, to_params=to_params,
-            _D1=D1, _D2=D2, _L=L, _t=t[:m], _that=that, _that_T=that_T, _col0=col0, _nfft=nfft,
+            _D1=D1, _D2=D2, _L=L, _that=that, _that_T=that_T, _col0=col0, _nfft=nfft,
         )
 
     @property
@@ -243,24 +239,6 @@ class ConversionMatrix:
         if transpose:
             return np.concatenate([[v[0] + col0 @ w], out])
         return np.concatenate([[v[0]], out + col0 * v[0]])
-
-    def dense(self) -> np.ndarray:
-        """The (k+1) x (k+1) matrix C that apply multiplies by, formed from
-        the stored factors: C = D1 (tril(T) o L^T L) D2, with the split head
-        row and column and the sign diagonals (folded into D1 and D2).  The
-        Hankel part is the same low-rank L^T L, so C @ v agrees with apply(v)
-        to rounding."""
-        m = len(self._t)
-        core = toeplitz(self._t, np.zeros(m)) * (self._L.T @ self._L)  # tril(T) o L^T L
-        core *= self._D1[:, None]
-        core *= self._D2
-        if self._col0 is None:
-            return core
-        C = np.zeros((m + 1, m + 1))
-        C[0, 0] = 1.0
-        C[1:, 0] = self._col0
-        C[1:, 1:] = core
-        return C
 
 
 def _toeplitz_rows(L, Dw, hat, pad, F, lo, hi):
@@ -403,20 +381,6 @@ class WeightedGram:
         for C in self._back:
             out = C.apply(out)
         return out
-
-    def matrix(self) -> np.ndarray:
-        """The (k_out+1) x (k_in+1) matrix that a call applies: the expand
-        chain, h and the back chain multiplied out from the conversions'
-        dense forms."""
-        E = np.eye(self.k_in + 1)
-        for C in self._expand:
-            E = C.dense().T @ E
-        n = len(self._h)
-        G = np.zeros((self.k_out + 1, self.k_in + 1))
-        G[:n] = self._h[:, None] * E[:n]
-        for C in self._back:
-            G = C.dense() @ G
-        return G
 
 
 def jacobi_to_jacobi(f: SpectralFunction, target: JacobiParams,

@@ -11,7 +11,6 @@ from scipy.special import betaln, gammaln
 from fracctrl.jacobi import (
     JacobiParamError,
     JacobiParams,
-    eval_jacobi,
     gauss_jacobi_rule,
     jacobi_matrix,
     jacobi_norm_sq,
@@ -41,11 +40,11 @@ class TestEval:
     def test_degree_zero_is_one(self):
         p = JacobiParams(0.3, -0.2)
         for x in (0.0, 0.25, 1.0):
-            assert eval_jacobi(0, p, x) == 1.0
+            assert jacobi_matrix(0, p, x)[0] == 1.0
 
     def test_degree_one_legendre(self):
         # Q_1^{0,0}(x) = 2x - 1
-        assert eval_jacobi(1, JacobiParams(0, 0), 0.75) == pytest.approx(0.5, abs=1e-15)
+        assert jacobi_matrix(1, JacobiParams(0, 0), 0.75)[1] == pytest.approx(0.5, abs=1e-15)
 
     def test_against_series_oracle(self):
         rng = np.random.default_rng(7)
@@ -53,7 +52,7 @@ class TestEval:
             p = JacobiParams(g, b)
             for n in (2, 5, 13, 30):
                 x = rng.uniform(0.05, 0.95)
-                assert eval_jacobi(n, p, x) == pytest.approx(
+                assert jacobi_matrix(n, p, x)[n] == pytest.approx(
                     series_oracle(n, g, b, x), rel=1e-11, abs=1e-11
                 )
 
@@ -61,8 +60,8 @@ class TestEval:
         x = np.linspace(0.0, 1.0, 11)
         for g, b in [(0.6, 0.2), (0.8829, 0.3171)]:
             for n in range(21):
-                lhs = eval_jacobi(n, JacobiParams(g, b), x)
-                rhs = (-1.0) ** n * eval_jacobi(n, JacobiParams(b, g), 1.0 - x)
+                lhs = jacobi_matrix(n, JacobiParams(g, b), x)[n]
+                rhs = (-1.0) ** n * jacobi_matrix(n, JacobiParams(b, g), 1.0 - x)[n]
                 assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(lhs)))
 
     def test_invalid_params_rejected(self):
@@ -92,7 +91,7 @@ class TestNorm:
     def test_against_quadrature(self):
         p = JacobiParams(0.6, 0.6)
         rule = gauss_jacobi_rule(9, p)
-        vals = eval_jacobi(7, p, rule.nodes)
+        vals = jacobi_matrix(7, p, rule.nodes)[7]
         assert rule.weights @ vals**2 == pytest.approx(
             jacobi_norm_sq(7, p), rel=1e-12
         )
@@ -137,7 +136,7 @@ class TestQuadrature:
                 lambda x: (1 - x) ** g * x ** b * mpmath.sin(x)
                 * mpmath.jacobi(16, 0.9, 0.9, 2 * x - 1), [0, 0.5, 1]))
         rule = gauss_jacobi_rule(800, JacobiParams(g, b))
-        q16 = eval_jacobi(16, JacobiParams(0.9, 0.9), rule.nodes)
+        q16 = jacobi_matrix(16, JacobiParams(0.9, 0.9), rule.nodes)[16]
         assert abs(rule.weights @ (np.sin(rule.nodes) * q16) - exact) <= 1e-12
 
     @pytest.mark.parametrize("g,b", [(0.8, 0.8), (0.1, 1.2)])
@@ -176,8 +175,9 @@ class TestDerivative:
         x = np.linspace(0.1, 0.9, 20)
         h = 1e-6
         for n in (1, 3, 6):
-            fd = (eval_jacobi(n, p, x + h) - eval_jacobi(n, p, x - h)) / (2 * h)
-            exact = (n + g + b + 1) * eval_jacobi(n - 1, JacobiParams(g + 1, b + 1), x)
+            fd = (jacobi_matrix(n, p, x + h)[n] - jacobi_matrix(n, p, x - h)[n]) / (2 * h)
+            q = jacobi_matrix(n - 1, JacobiParams(g + 1, b + 1), x)[n - 1]
+            exact = (n + g + b + 1) * q
             assert np.max(np.abs(fd - exact)) < 1e-6 * max(1.0, np.max(np.abs(exact)))
 
     def test_weighted_derivative_finite_difference(self):
@@ -190,12 +190,11 @@ class TestDerivative:
         for n in (2, 4, 7):
 
             def lhs(xx):
-                return (1 - xx) ** (g + 1) * xx ** (b + 1) * eval_jacobi(
-                    n - 1, JacobiParams(g + 1, b + 1), xx
-                )
+                q = jacobi_matrix(n - 1, JacobiParams(g + 1, b + 1), xx)[n - 1]
+                return (1 - xx) ** (g + 1) * xx ** (b + 1) * q
 
             fd = (lhs(x + h) - lhs(x - h)) / (2 * h)
-            exact = -n * (1 - x) ** g * x**b * eval_jacobi(n, p, x)
+            exact = -n * (1 - x) ** g * x**b * jacobi_matrix(n, p, x)[n]
             assert np.max(np.abs(fd - exact)) < 1e-7 * max(1.0, np.max(np.abs(exact)))
 
 

@@ -15,6 +15,7 @@ from fracctrl.jacobi import (
     jacobi_norm_sq,
 )
 from fracctrl.operators import (
+    FULL_LU_MODES,
     PRECOND_MODES,
     AssemblyError,
     BandedPreconditioner,
@@ -23,6 +24,7 @@ from fracctrl.operators import (
     assemble_dense,
     assemble_fast,
     build_preconditioners,
+    gram_columns,
     mirror,
     stiffness_diagonal,
 )
@@ -235,14 +237,19 @@ class TestFastApply:
         assemble_fast(32, solve_sigma(0.7, 1.6), 1.0, 1.0)
         assert len(built) == 4  # one Gram: two conversions out, two back
         built.clear()
-        RhsAssembler(32, solve_sigma(0.7, 1.6), None, None)  # gram_u is gram_z mirrored
+        # up to FULL_LU_MODES the right-hand sides' Grams come from the
+        # recurrence, so they build no conversion
+        f, u_d = chebyshev_expand(np.sin, M=64), chebyshev_expand(np.cos, M=64)
+        RhsAssembler(FULL_LU_MODES, solve_sigma(0.7, 1.6), f, u_d)
+        assert not built
+        N = 640
+        RhsAssembler(N, solve_sigma(0.7, 1.6), None, None)  # gram_u is gram_z mirrored
         assert len(built) == 2
         built.clear()
-        f, u_d = chebyshev_expand(np.sin, M=64), chebyshev_expand(np.cos, M=64)
-        RhsAssembler(32, solve_sigma(0.7, 1.6), f, None)
+        RhsAssembler(N, solve_sigma(0.7, 1.6), f, None)
         alone = len(built)
         built.clear()
-        RhsAssembler(32, solve_sigma(0.7, 1.6), f, u_d)  # u_d's projection is f's, reflected
+        RhsAssembler(N, solve_sigma(0.7, 1.6), f, u_d)  # u_d's projection is f's, reflected
         assert len(built) == alone > 2
         built.clear()
         assemble_fast(32, solve_sigma(1.0, 1.6), 1.0, 1.0)
@@ -500,12 +507,12 @@ class TestRhs:
         assert rel_err(lhs, rhs) < 1e-13
 
     def test_gram_z_matches_dense_gram(self):
-        # N <= PRECOND_MODES: gram_z is one matrix
+        # N <= FULL_LU_MODES: gram_z is one matrix
         assert_gram_z_matches_quadrature(24, chain=False)
 
     def test_chain_gram_z_matches_dense_gram(self):
-        # N > PRECOND_MODES: gram_z is the WeightedGram's conversion chain
-        assert_gram_z_matches_quadrature(160, chain=True)
+        # N > FULL_LU_MODES: gram_z is the WeightedGram's conversion chain
+        assert_gram_z_matches_quadrature(640, chain=True)
 
 
 def assert_gram_z_matches_quadrature(N, chain):
@@ -521,20 +528,80 @@ def assert_gram_z_matches_quadrature(N, chain):
     assert rel_err(asm.gram_z(v), M2 @ v) < 1e-11
 
 
+def gram_oracle(trial, test, weight, ncols, nrows):
+    """G[m, n] = (Q_n^{trial}, Q_m^{test})_{w^{weight}}, m < nrows, n < ncols,
+    by a Gauss-Jacobi rule exact for the product's degree."""
+    rule = gauss_jacobi_rule((ncols + nrows) // 2 + 2, weight)
+    Et = jacobi_matrix(nrows - 1, test, rule.nodes) * rule.weights
+    return Et @ jacobi_matrix(ncols - 1, trial, rule.nodes).T
+
+
+def recurrence_gram(trial, test, weight, ncols, nrows):
+    return np.array(list(gram_columns(trial, test, weight, ncols, nrows))).T
+
+
+# data weights: plain, and below and above the test basis's
+DATA_BETAS = (0.0, -0.4, 0.5)
+CHEBYSHEV = JacobiParams(-0.5, -0.5)
+
+
 class TestGramZMatrix:
-    @pytest.mark.parametrize("N", [1, 64, 128])
-    def test_matrix_matches_chain(self, N):
-        # within the LU block gram_z is WeightedGram.matrix(): it agrees with
-        # the chain it was formed from to rounding (1.1e-15 is the worst seen)
+    @pytest.mark.parametrize("N", [1, 64, FULL_LU_MODES])
+    def test_matrix_matches_quadrature(self, N):
+        # within the LU block gram_z is a matrix from the recurrence: it is
+        # within 2.4e-15 of the largest entry of the quadrature oracle's
         eye = np.eye(N + 1)
-        for alpha in (1.05, 1.2, 1.5, 1.8, 1.99):
-            for theta in (0.0, 0.3, 0.7, 1.0):
+        for alpha in (1.01, 1.2, 1.5, 1.99):
+            for theta in (0.0, 0.5, 1.0):
                 pair = solve_sigma(theta, alpha)
                 zframe = JacobiParams(pair.sigma_star, pair.sigma)
                 weight = JacobiParams(2 * pair.sigma_star, 2 * pair.sigma)
-                cache = ConversionCache()
-                gram = WeightedGram(cache, zframe, weight, zframe, N, N)
-                G = np.array([gram(e) for e in eye]).T
-                asm = RhsAssembler(N, pair, None, None, cache)
-                for M in (gram.matrix(), np.array([asm.gram_z(e) for e in eye]).T):
-                    assert np.max(np.abs(M - G)) < 1e-13 * np.max(np.abs(G))
+                G = gram_oracle(zframe, zframe, weight, N + 1, N + 1)
+                asm = RhsAssembler(N, pair, None, None)
+                M = np.array([asm.gram_z(e) for e in eye]).T
+                assert np.max(np.abs(M - G)) < 1e-13 * np.max(np.abs(G))
+
+    @pytest.mark.parametrize("beta", DATA_BETAS)
+    def test_data_gram_matches_quadrature(self, beta):
+        # the data projections' Gram: a degree-64 Chebyshev series against
+        # the test basis Q^{s*,s} under w^{s*+beta,s+beta} (1.3e-14 of the
+        # largest entry is the worst seen, at beta = -0.4 and alpha = 1.01)
+        N = FULL_LU_MODES
+        for alpha in (1.01, 1.2, 1.5, 1.99):
+            for theta in (0.0, 0.5, 1.0):
+                pair = solve_sigma(theta, alpha)
+                b, g = pair.sigma_star, pair.sigma
+                args = (CHEBYSHEV, JacobiParams(b, g), JacobiParams(b + beta, g + beta), 65, N + 1)
+                G = gram_oracle(*args)
+                assert np.max(np.abs(recurrence_gram(*args) - G)) < 1e-13 * np.max(np.abs(G))
+
+
+class TestConversionsAboveBlock:
+    @pytest.mark.parametrize("theta,alpha", SCALE_GRID)
+    def test_weighted_grams_match_recurrence(self, theta, alpha):
+        # above FULL_LU_MODES the right-hand sides' Grams are conversion
+        # chains; the recurrence checks them with no quadrature.  The data
+        # projections agree to 2.4e-14 relative at worst (beta = -0.4).
+        # gram_z's entries agree to 5.9e-13 of its largest (every column at
+        # N = 1024; five columns are checked here), but on a random vector,
+        # whose high modes weigh as much as its low ones, the chain reads up
+        # to 2.9e-12 relative
+        pair = solve_sigma(theta, alpha)
+        b, g = pair.sigma_star, pair.sigma
+        zframe = JacobiParams(b, g)
+        cheb = chebyshev_expand(np.sin, M=64)
+        for N in (640, 1024):
+            asm = RhsAssembler(N, pair, None, None)
+            assert isinstance(asm.gram_z, WeightedGram)
+            G = recurrence_gram(zframe, zframe, JacobiParams(2 * b, 2 * g), N + 1, N + 1)
+            eye = np.eye(N + 1)
+            for j in np.linspace(0, N, 5).astype(int):
+                assert np.max(np.abs(asm.gram_z(eye[j]) - G[:, j])) <= 1e-12 * np.max(np.abs(G))
+            v = np.random.default_rng(3).standard_normal(N + 1)
+            assert rel_err(asm.gram_z(v), G @ v) <= 1e-11
+            for beta in DATA_BETAS:
+                f = SpectralFunction((beta, beta), cheb.poly_params, cheb.coeffs)
+                weight = JacobiParams(b + beta, g + beta)
+                G = recurrence_gram(cheb.poly_params, zframe, weight, cheb.degree + 1, N + 1)
+                F = RhsAssembler(N, pair, f, None).F_data
+                assert rel_err(F, G @ f.coeffs) <= 1e-12

@@ -295,8 +295,9 @@ class TestOptimize:
         assert len(calls) == iterations == 16
 
     def test_fast_mode_within_block_is_the_lu(self, monkeypatch):
-        # N <= PRECOND_MODES: P = A, so every solve is P's LU alone, with no
-        # operator apply and no operator Gram; the triple is the oracle's
+        # N <= FULL_LU_MODES: P = A, so every solve is P's LU alone, with no
+        # operator apply, and every Gram comes from the recurrence, so no
+        # WeightedGram is built; the triple is the oracle's
         calls, grams = [], []
         for name in ("apply_A", "apply_B"):
             monkeypatch.setattr(OperatorSet, name, lambda self, x: calls.append(name))
@@ -306,10 +307,7 @@ class TestOptimize:
         spec = example1_spec(alpha=1.8)
         cache = ConversionCache()
         triple = optimize(spec, SolverConfig(N=PRECOND_MODES, mode="fast"), cache=cache)
-        pair = triple.pair
-        weak_advection = (JacobiParams(pair.alpha - 1, pair.alpha - 1),
-                          JacobiParams(pair.sigma_star - 1, pair.sigma - 1))
-        assert calls == [] and grams and weak_advection not in grams
+        assert calls == [] and grams == []
         assert triple.stats.outer_iterations == 8
         assert all(its == (0, 0) for its in triple.stats.inner_iterations)
         assert max(kkt_residuals(spec, triple, cache)) <= 1e-11
@@ -518,13 +516,16 @@ class TestOptimize:
                 got = ("converges in", triple.stats.outer_iterations)
             assert got == (verb, count)
 
-    @pytest.mark.parametrize("N", [64, PRECOND_MODES, PRECOND_MODES + 1])
+    @pytest.mark.parametrize("N", [64, PRECOND_MODES, PRECOND_MODES + 1, FULL_LU_MODES,
+                                   FULL_LU_MODES + 1])
     def test_no_conversion_apply_within_block(self, monkeypatch, N):
-        # within the LU block gram_z is one matrix, so once RhsAssembler is
-        # built an outer iteration applies no conversion; above it, gram_z
-        # is the WeightedGram chain
-        applies, asms, grams = [], [], []
+        # within the LU block every Gram comes from the recurrence, so a
+        # solve builds and applies no conversion, with plain or weighted
+        # data, on either side of PRECOND_MODES; above the block, gram_z is
+        # the WeightedGram chain
+        applies, builds, asms, grams = [], [], [], []
         apply, init, call = ConversionMatrix.apply, RhsAssembler.__init__, WeightedGram.__call__
+        build = ConversionMatrix.build.__func__
 
         def recording_init(self, *args):
             init(self, *args)
@@ -532,17 +533,28 @@ class TestOptimize:
             applies.clear()
             grams.clear()  # the data projections
 
+        monkeypatch.setattr(ConversionMatrix, "build", classmethod(
+            lambda cls, *args, **kw: builds.append(1) or build(cls, *args, **kw)))
         monkeypatch.setattr(ConversionMatrix, "apply",
                             lambda self, *args, **kw: applies.append(1) or apply(self, *args, **kw))
         monkeypatch.setattr(RhsAssembler, "__init__", recording_init)
         monkeypatch.setattr(WeightedGram, "__call__",
                             lambda self, v: grams.append(self) or call(self, v))
-        triple = optimize(example1_spec(alpha=1.8), SolverConfig(N=N))
-        assert triple.stats.outer_iterations == 8 and len(asms) == 1
-        if N <= PRECOND_MODES:
-            assert applies == [] and grams == []
-        else:
-            assert applies and any(gram is asms[0].gram_z for gram in grams)
+        plain = example1_spec(alpha=1.8)
+        weighted = replace(plain, f=SpectralFunction((-0.4, -0.4), plain.f.poly_params,
+                                                     plain.f.coeffs),
+                           u_d=SpectralFunction((-0.4, -0.4), plain.u_d.poly_params,
+                                                plain.u_d.coeffs))
+        for spec in (plain, weighted):
+            asms.clear()
+            triple = optimize(spec, SolverConfig(N=N))
+            assert len(asms) == 1
+            if spec is plain:
+                assert triple.stats.outer_iterations == 8
+            if N <= FULL_LU_MODES:  # no conversion exists, so none is applied
+                assert builds == [] and applies == [] and grams == []
+            else:
+                assert applies and any(gram is asms[0].gram_z for gram in grams)
 
     @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
     @pytest.mark.parametrize("theta", [0.5, 0.7, 1.0])
