@@ -1,5 +1,5 @@
 """Weighted error norms, observed convergence orders, and the
-convergence-study driver with a disk-backed reference-solution cache.
+convergence-study driver, which reuses the process's last reference solve.
 """
 
 from __future__ import annotations
@@ -7,7 +7,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -21,13 +20,9 @@ from .solver import (
     OptimalTriple,
     ProblemSpec,
     SolverConfig,
-    SolveStats,
     optimize,
 )
 from .transforms import ConversionCache, SpectralFunction, jacobi_to_jacobi
-
-CACHE_MAGIC = "FRACCTRL-REF"
-CACHE_VERSION = 1
 
 
 class AnalysisError(ValueError):
@@ -161,27 +156,20 @@ def eoc(errors, Ns) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# reference-solution disk cache
+# the last reference solve, kept in memory
+
+_reference: tuple[str, OptimalTriple] | None = None  # (digest, triple)
 
 
-def cache_dir() -> str:
-    return os.environ.get(
-        "FRACCTRL_CACHE_DIR",
-        os.path.join(os.path.expanduser("~"), ".cache", "fracctrl"),
-    )
-
-
-def _spec_digest(spec: ProblemSpec, N: int, config: SolverConfig) -> str:
-    """Content hash identifying a reference solve."""
+def _spec_digest(spec: ProblemSpec, config: SolverConfig) -> str:
+    """Content hash identifying a solve of spec under config."""
     blob = io.BytesIO()
     meta = {
-        "version": CACHE_VERSION,
         "alpha": spec.alpha, "theta": spec.theta,
         "lambda1": spec.lambda1, "lambda2": spec.lambda2, "gamma": spec.gamma,
-        "N": N, "outer_tol": config.outer_tol,
-        "mode": config.mode,
     }
     blob.write(json.dumps(meta, sort_keys=True).encode())
+    blob.write(repr(config).encode())  # every field, floats exactly
     for fun in (spec.f, spec.u_d):
         if fun is None:
             blob.write(b"none")
@@ -192,82 +180,35 @@ def _spec_digest(spec: ProblemSpec, N: int, config: SolverConfig) -> str:
     return hashlib.sha256(blob.getvalue()).hexdigest()
 
 
-def _payload_digest(U, Z, c) -> str:
-    h = hashlib.sha256()
-    h.update(np.asarray(U).tobytes())
-    h.update(np.asarray(Z).tobytes())
-    h.update(np.float64(c).tobytes())
-    return h.hexdigest()
-
-
-def cache_path(digest: str) -> str:
-    return os.path.join(cache_dir(), f"{digest}.npz")
-
-
-def save_reference(triple: OptimalTriple, digest: str) -> str:
-    os.makedirs(cache_dir(), exist_ok=True)
-    path = cache_path(digest)
-    tmp = path + f".tmp{os.getpid()}"
-    meta = json.dumps({
-        "magic": CACHE_MAGIC, "version": CACHE_VERSION, "digest": digest,
-        "payload_digest": _payload_digest(
-            triple.U.coeffs, triple.Z.coeffs, triple.q.constant_part),
-        "alpha": triple.pair.alpha, "theta": triple.pair.theta,
-        "outer_iterations": triple.stats.outer_iterations,
-        "wall_time": triple.stats.wall_time,
-    })
-    with open(tmp, "wb") as fh:
-        np.savez(fh, meta=np.array(meta), U=triple.U.coeffs, Z=triple.Z.coeffs,
-                 c=np.float64(triple.q.constant_part))
-    os.replace(tmp, path)
-    return path
-
-
-def read_reference(path: str):
-    """(U, Z, c, meta) of a cache entry, or None when the entry is missing,
-    foreign, of another cache version or fails its payload digest."""
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
-            if meta.get("magic") != CACHE_MAGIC or meta.get("version") != CACHE_VERSION:
-                return None
-            U, Z, c = data["U"], data["Z"], float(data["c"])
-            if meta.get("payload_digest") != _payload_digest(U, Z, c):
-                return None
-    except Exception:
-        return None
-    return U, Z, c, meta
-
-
-def load_reference(digest: str, spec: ProblemSpec) -> OptimalTriple | None:
-    """Load a cached reference; returns None on miss or corruption."""
-    entry = read_reference(cache_path(digest))
-    if entry is None:
-        return None
-    U, Z, c, meta = entry
-    pair = spec.exponent_pair()
-    g, b = pair.sigma, pair.sigma_star
-    u_fun = SpectralFunction((g, b), JacobiParams(g, b), U)
-    z_fun = SpectralFunction((b, g), JacobiParams(b, g), Z)
-    q_fun = ControlFunction(c, SpectralFunction((b, g), JacobiParams(b, g), Z), spec.gamma)
-    stats_iters = meta.get("outer_iterations", 0)
-    st = SolveStats(outer_iterations=stats_iters, wall_time=meta.get("wall_time", 0.0))
-    return OptimalTriple(U=u_fun, Z=z_fun, q=q_fun, pair=pair, stats=st)
+def load_reference(digest: str) -> OptimalTriple | None:
+    """The kept reference solve if it was made under digest, else None."""
+    kept = _reference  # one read: another thread may replace it
+    return kept[1] if kept is not None and kept[0] == digest else None
 
 
 def reference_solve(spec: ProblemSpec, N_ref: int, config: SolverConfig,
                     use_cache: bool = True,
                     cache: ConversionCache | None = None) -> OptimalTriple:
-    """Solve at the reference truncation, consulting the disk cache."""
+    """Solve at the reference truncation N_ref.
+
+    The process keeps its last reference solve, so a study after a solve
+    of the same spec, N_ref and config reuses it.  With use_cache, a kept
+    solve made under an equal digest is returned as is (callers must not
+    change it); otherwise this solve replaces it whole.  The old one is
+    dropped before the solve runs, so the process never keeps two, and if
+    the solve raises, none is kept.  use_cache=False neither reads nor
+    replaces the kept solve."""
+    global _reference
     ref_cfg = replace(config, N=N_ref)
-    digest = _spec_digest(spec, N_ref, ref_cfg)
-    if use_cache:
-        hit = load_reference(digest, spec)
-        if hit is not None:
-            return hit
+    if not use_cache:
+        return optimize(spec, ref_cfg, cache=cache)
+    digest = _spec_digest(spec, ref_cfg)
+    hit = load_reference(digest)
+    if hit is not None:
+        return hit
+    _reference = None
     triple = optimize(spec, ref_cfg, cache=cache)
-    if use_cache:
-        save_reference(triple, digest)
+    _reference = (digest, triple)
     return triple
 
 
@@ -331,14 +272,15 @@ def triple_errors(triple: OptimalTriple, ref: OptimalTriple,
     }
 
 
-def convergence_study(spec: ProblemSpec, Ns, N_ref: int, config: SolverConfig,
-                      use_cache: bool = True) -> ConvergenceReport:
-    """Solve at each N against a (cached) reference at N_ref and tabulate
-    errors, observed orders, iteration counts and wall times."""
+def convergence_study(spec: ProblemSpec, Ns, N_ref: int, config: SolverConfig
+                      ) -> ConvergenceReport:
+    """Solve at each N against a reference at N_ref (reference_solve's, so
+    the process's last one if it matches) and tabulate errors, observed
+    orders, iteration counts and wall times."""
     Ns = study_truncations(Ns, N_ref)
     pair = spec.exponent_pair()
     shared = ConversionCache()
-    ref = reference_solve(spec, N_ref, config, use_cache=use_cache, cache=shared)
+    ref = reference_solve(spec, N_ref, config, cache=shared)
     report = ConvergenceReport(spec=spec, Ns=Ns, N_ref=N_ref)
     report.expected_order = predict_orders(
         pair, spec.data_regularity if spec.data_regularity is not None else 100.0

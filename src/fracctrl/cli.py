@@ -4,7 +4,6 @@ Subcommands:
   sigma-table   print the (sigma, sigma*) exponent table
   solve         run one optimization and write the solution artifact
   study         run a convergence study and render the table
-  cache         list / clear / verify the reference-solution cache
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure.
 """
@@ -16,8 +15,6 @@ import csv
 import io
 import json
 import math
-import os
-import random
 import sys
 from dataclasses import dataclass, field
 
@@ -292,43 +289,9 @@ def cmd_study(args) -> int:
     fmt = args.format or cfg.output.get("format", "csv")
     if fmt not in FORMATS:  # checked before the study runs, not after
         raise ConfigError(f"output block: unknown format {fmt!r}, expected one of {FORMATS}")
-    report = analysis.convergence_study(spec, Ns, N_ref, scfg, use_cache=not args.no_cache)
+    report = analysis.convergence_study(spec, Ns, N_ref, scfg)
     _emit(render_report(report, fmt), args.out or cfg.output.get("path"))
     return EXIT_OK
-
-
-def cmd_cache(args) -> int:
-    cdir = analysis.cache_dir()
-    entries = sorted(f for f in os.listdir(cdir) if f.endswith(".npz")) \
-        if os.path.isdir(cdir) else []
-    if args.action == "list":
-        for name in entries:
-            path = os.path.join(cdir, name)
-            print(f"{name}  {os.path.getsize(path)} bytes")
-        print(f"{len(entries)} entries in {cdir}")
-        return EXIT_OK
-    if args.action == "clear":
-        if not args.force:
-            print("refusing to clear cache without --force", file=sys.stderr)
-            return EXIT_CONFIG
-        for name in entries:
-            os.remove(os.path.join(cdir, name))
-        print(f"removed {len(entries)} entries from {cdir}")
-        return EXIT_OK
-    if args.action == "verify":
-        if args.sample < 1:
-            raise ConfigError(f"--sample must be at least 1, got {args.sample}")
-        if not entries:
-            print("cache empty; nothing to verify")
-            return EXIT_OK
-        bad = []
-        for name in random.sample(entries, min(len(entries), args.sample)):
-            ok = analysis.read_reference(os.path.join(cdir, name)) is not None
-            print(f"{name}: {'ok' if ok else 'CORRUPT'}")
-            if not ok:
-                bad.append(name)
-        return EXIT_OK if not bad else EXIT_SOLVER
-    raise ConfigError(f"unknown cache action {args.action!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -354,14 +317,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=MODES, default=None)
         if name == "study":
             p.add_argument("--format", choices=FORMATS, default=None)
-            p.add_argument("--no-cache", action="store_true")
         p.set_defaults(func=fn)
-
-    ca = sub.add_parser("cache", help="reference cache maintenance")
-    ca.add_argument("action", choices=("list", "clear", "verify"))
-    ca.add_argument("--force", action="store_true")
-    ca.add_argument("--sample", type=int, default=1)
-    ca.set_defaults(func=cmd_cache)
     return ap
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from .fracparams import ExponentPair, solve_sigma
 from .jacobi import JacobiParams, jacobi_norm_sq
 from .operators import (FULL_LU_MODES, PRECOND_MODES, BandedPreconditioner, OperatorSet,
-                        RhsAssembler, assemble_fast, build_preconditioners, mirror)
+                        RhsAssembler, assemble_fast, build_preconditioners)
 from .transforms import ConversionCache, SpectralFunction
 
 
@@ -129,9 +129,11 @@ class OptimalTriple:
 
 
 def _lu_solve(P: BandedPreconditioner, b: np.ndarray, system: str) -> np.ndarray:
+    """P x = b for P = J A J, a preconditioner whose block is all of A
+    (J all ones for the state), residual-checked as |b - J A J x|."""
     x = P.solve(b)
     nb = np.linalg.norm(b)
-    if nb > 0 and np.linalg.norm(b - P.block @ x) > 1e-10 * nb:
+    if nb > 0 and np.linalg.norm(b - P.J * (P.block @ (P.J * x))) > 1e-10 * nb:
         raise SolverError(f"dense {system} solve residual too large")
     return x
 
@@ -141,11 +143,9 @@ def direct_solve_state(P: BandedPreconditioner, F: np.ndarray) -> np.ndarray:
     return _lu_solve(P, F, "state")
 
 
-def direct_solve_adjoint(P: BandedPreconditioner, G: np.ndarray) -> np.ndarray:
-    """B Z = G with B = J A J, through the same LU; J is orthogonal, so the
-    residual checked is |G - B Z|."""
-    J = mirror(G.size - 1)
-    return J * _lu_solve(P, J * G, "adjoint")
+def direct_solve_adjoint(Phat: BandedPreconditioner, G: np.ndarray) -> np.ndarray:
+    """B Z = G with B = J A J, through Phat = J P J, which shares P's LU."""
+    return _lu_solve(Phat, G, "adjoint")
 
 
 def fixed_point_solve(apply_op, precond, rhs: np.ndarray,
@@ -254,17 +254,17 @@ def linear_solves(ops: OperatorSet, P: BandedPreconditioner, Phat: BandedPrecond
                   config: SolverConfig):
     """(state_solve, adjoint_solve), each mapping (rhs, tol) to (x, iterations,
     converged), from P: the LU of A's leading (K+1) x (K+1) block.  At K = N
-    (optimize's K up to FULL_LU_MODES, and direct mode's above), P = A, each
-    solve is P's LU alone (residual-checked, tol ignored) and no operator
-    Gram is built.  Below N, GMRES preconditioned by P and Phat = J P J runs
-    on the factored applies to the relative residual tol, warm-started from
-    its last x with A x carried along, so a warm start costs no apply.  The
-    warm starts belong to the returned pair: solves that share ops, P and
-    Phat share no other state."""
+    (optimize's K up to FULL_LU_MODES, and direct mode's above), P = A and
+    Phat = B, each solve is their one LU alone (residual-checked, tol
+    ignored) and no operator Gram is built.  Below N, GMRES preconditioned
+    by P and Phat = J P J runs on the factored applies to the relative
+    residual tol, warm-started from its last x with A x carried along, so a
+    warm start costs no apply.  The warm starts belong to the returned
+    pair: solves that share ops, P and Phat share no other state."""
     N = ops.N
     if len(P.block) == N + 1:
         return (lambda F, tol: (direct_solve_state(P, F), 0, True),
-                lambda G, tol: (direct_solve_adjoint(P, G), 0, True))
+                lambda G, tol: (direct_solve_adjoint(Phat, G), 0, True))
 
     def warm_started(apply_op, precond):
         x, Ax = None, np.zeros(N + 1)

@@ -69,7 +69,7 @@ def example2_spec(alpha, beta=-0.4, theta=0.5):
 
 
 def run_study(spec, Ns, N_ref):
-    """Reference solve (disk-cached) plus per-N solves; returns the solved
+    """Reference solve plus per-N solves; returns the solved
     triples, the reference, and the six error sequences."""
     cfg = SolverConfig(N=N_ref, mode="fast")
     shared = ConversionCache()

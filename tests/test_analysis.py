@@ -1,7 +1,7 @@
-"""Tests for weighted error norms, observed-order computation, the
-reference cache, and the convergence-study driver."""
+"""Tests for weighted error norms, observed-order computation, the kept
+reference solve, and the convergence-study driver."""
 
-import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,20 +10,17 @@ from fracctrl import analysis
 from fracctrl.analysis import (
     AnalysisError,
     ConvergenceReport,
-    cache_dir,
-    cache_path,
     convergence_study,
     eoc,
     load_reference,
     reference_solve,
-    save_reference,
     triple_errors,
     weighted_error,
     _spec_digest,
 )
 from fracctrl.fracparams import solve_sigma
 from fracctrl.jacobi import JacobiParams, gauss_jacobi_rule, jacobi_norm_sq
-from fracctrl.solver import ControlFunction, ProblemSpec, SolverConfig, optimize
+from fracctrl.solver import ControlFunction, ProblemSpec, SolverConfig, SolverError, optimize
 from fracctrl.transforms import (
     ConversionCache,
     ConversionMatrix,
@@ -242,63 +239,93 @@ class TestEoc:
 
 class TestReferenceCache:
     @pytest.fixture(autouse=True)
-    def tmp_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FRACCTRL_CACHE_DIR", str(tmp_path / "cache"))
-        yield
+    def empty_slot(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_reference", None)
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The specs analysis.optimize is called with, in order."""
+        seen = []
+
+        def counted(spec, *args, **kwargs):
+            seen.append(spec)
+            return optimize(spec, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "optimize", counted)
+        return seen
 
     def test_round_trip(self):
         spec = example1_spec()
         cfg = SolverConfig(N=24, mode="direct")
-        triple = optimize(spec, cfg)
-        digest = _spec_digest(spec, 24, cfg)
-        save_reference(triple, digest)
-        loaded = load_reference(digest, spec)
-        assert loaded is not None
-        assert np.array_equal(loaded.U.coeffs, triple.U.coeffs)
-        assert np.array_equal(loaded.Z.coeffs, triple.Z.coeffs)
-        assert loaded.q.constant_part == triple.q.constant_part
+        triple = reference_solve(spec, 24, cfg)
+        assert load_reference(_spec_digest(spec, cfg)) is triple
 
     def test_miss_returns_none(self):
-        assert load_reference("0" * 64, example1_spec()) is None
+        assert load_reference("0" * 64) is None
 
-    def test_corruption_detected(self):
+    def test_digest_distinguishes_problems(self, solves):
+        spec, cfg = example1_spec(), SolverConfig(N=16, mode="direct")
+        first = reference_solve(spec, 16, cfg)
+        others = ((example1_spec(alpha=1.4), cfg),
+                  (replace(spec, gamma=0.5), cfg),
+                  (spec, replace(cfg, mode="fast")),
+                  (spec, replace(cfg, outer_tol=1e-10)))
+        for other, other_cfg in others:
+            assert _spec_digest(other, other_cfg) != _spec_digest(spec, cfg)
+            assert reference_solve(other, 16, other_cfg) is not first
+        assert len(solves) == 1 + len(others)
+        # each solve replaced the one before it whole
+        assert load_reference(_spec_digest(spec, cfg)) is None
+        assert load_reference(_spec_digest(*others[-1])) is analysis._reference[1]
+
+    def test_reference_solve_uses_cache(self, solves):
         spec = example1_spec()
         cfg = SolverConfig(N=16, mode="direct")
-        triple = optimize(spec, cfg)
-        digest = _spec_digest(spec, 16, cfg)
-        path = save_reference(triple, digest)
-        with open(path, "r+b") as fh:
-            fh.seek(os.path.getsize(path) - 16)
-            fh.write(b"\xde\xad\xbe\xef" * 4)
-        assert load_reference(digest, spec) is None
+        first = reference_solve(spec, 16, cfg)
+        # N is the reference's, whatever config.N says
+        assert reference_solve(spec, 16, SolverConfig(N=8, mode="direct")) is first
+        assert len(solves) == 1
 
-    def test_digest_distinguishes_problems(self):
-        cfg = SolverConfig(N=16)
-        d1 = _spec_digest(example1_spec(alpha=1.8), 16, cfg)
-        d2 = _spec_digest(example1_spec(alpha=1.4), 16, cfg)
-        assert d1 != d2
+    def test_study_after_reference_solve_solves_each_n_once(self, solves):
+        # the study benchmark's shape: a reference solve, then studies of it
+        spec = example1_spec()
+        cfg = SolverConfig(N=8, mode="direct")
+        reference_solve(spec, 64, cfg)
+        solves.clear()
+        convergence_study(spec, [8, 16], 64, cfg)
+        assert len(solves) == 2
 
-    def test_reference_solve_uses_cache(self):
+    def test_use_cache_false_leaves_slot(self, solves):
         spec = example1_spec()
         cfg = SolverConfig(N=16, mode="direct")
-        first = reference_solve(spec, 16, cfg, use_cache=True)
-        digest = _spec_digest(spec, 16, cfg)
-        assert os.path.exists(cache_path(digest))
-        second = reference_solve(spec, 16, cfg, use_cache=True)
-        assert np.array_equal(first.U.coeffs, second.U.coeffs)
+        reference_solve(spec, 16, cfg, use_cache=False)
+        assert analysis._reference is None
+        kept = reference_solve(spec, 16, cfg)
+        slot = analysis._reference
+        fresh = [reference_solve(spec, 16, cfg, use_cache=False) for _ in range(2)]
+        assert len(solves) == 4
+        assert all(t is not kept for t in fresh)
+        assert np.array_equal(fresh[0].U.coeffs, kept.U.coeffs)
+        assert analysis._reference is slot
+
+    def test_failed_solve_keeps_nothing(self, monkeypatch):
+        spec = example1_spec()
+        cfg = SolverConfig(N=16, mode="direct")
+        reference_solve(spec, 16, cfg)
+
+        def fail(*args, **kwargs):
+            raise SolverError("no solve")
+
+        monkeypatch.setattr(analysis, "optimize", fail)
+        with pytest.raises(SolverError):
+            reference_solve(example1_spec(alpha=1.4), 16, cfg)
+        assert analysis._reference is None
 
 
 class TestConvergenceStudy:
-    @pytest.fixture(autouse=True)
-    def tmp_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FRACCTRL_CACHE_DIR", str(tmp_path / "cache"))
-        yield
-
     def test_small_study_structure(self):
         spec = example1_spec()
-        report = convergence_study(
-            spec, [8, 16], 64, SolverConfig(N=8, mode="direct"), use_cache=False
-        )
+        report = convergence_study(spec, [8, 16], 64, SolverConfig(N=8, mode="direct"))
         assert report.Ns == [8, 16]
         for var in ConvergenceReport.VARIABLES:
             es = report.errors[var]
@@ -384,6 +411,3 @@ class TestConvergenceStudy:
         before = len(norm_applies)
         triple_errors(triple, ref)
         assert len(norm_applies) - before == 12
-
-    def test_cache_dir_env_override(self, tmp_path):
-        assert cache_dir() == str(tmp_path / "cache")

@@ -72,9 +72,8 @@ def test_traced_gamma_sweep_builds_once(monkeypatch):
         tracer.uninstall()
 
 
-def test_traced_study_counts_follow_the_study(monkeypatch, tmp_path):
+def test_traced_study_counts_follow_the_study(monkeypatch):
     monkeypatch.syspath_prepend(BENCH_DIR)
-    monkeypatch.setenv("FRACCTRL_CACHE_DIR", str(tmp_path))
     import tracing
     import workload
 

@@ -2,12 +2,10 @@
 rendering, and exit codes."""
 
 import json
-import os
 
 import numpy as np
 import pytest
 
-from fracctrl.analysis import _spec_digest, cache_path, reference_solve
 from fracctrl.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -22,12 +20,6 @@ from fracctrl.cli import (
     render_report,
 )
 from fracctrl.solver import SolverConfig
-
-
-@pytest.fixture(autouse=True)
-def tmp_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("FRACCTRL_CACHE_DIR", str(tmp_path / "cache"))
-    yield
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -173,9 +165,9 @@ class TestSigmaTable:
 
 
 class TestSolveCommand:
-    @pytest.mark.parametrize("flag", [["--no-cache"], ["--format", "md"]])
+    @pytest.mark.parametrize("flag", [["--format", "md"], ["--format=csv"]])
     def test_study_only_flags_rejected(self, capsys, flag):
-        # --no-cache and --format act on a study only; solve does not accept them
+        # --format acts on a study only; solve does not accept it
         with pytest.raises(SystemExit) as exc:
             main(["solve", *flag])
         assert exc.value.code == EXIT_CONFIG
@@ -220,11 +212,21 @@ class TestStudyCommand:
             "solver": {"Ns": [8, 16], "N_ref": 64, "mode": "direct"},
         })
         out = tmp_path / "study.csv"
-        assert main(["study", "--config", cfg, "--out", str(out),
-                     "--no-cache"]) == EXIT_OK
+        assert main(["study", "--config", cfg, "--out", str(out)]) == EXIT_OK
         lines = out.read_text().strip().splitlines()
         assert lines[0].split(",") == CSV_COLUMNS
         assert len(lines) == 3  # header + one row per N
+
+    def test_study_writes_nothing_under_home(self, tmp_path, monkeypatch):
+        home = tmp_path / "home"
+        home.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        cfg = write_config(tmp_path, {
+            "problem": {"alpha": 1.8, "theta": 0.7},
+            "solver": {"Ns": [8, 16], "N_ref": 64, "mode": "direct"},
+        })
+        assert main(["study", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+        assert list(home.iterdir()) == []
 
     def test_requires_ns(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"solver": {"N": 16, "mode": "direct"}})
@@ -239,7 +241,7 @@ class TestStudyCommand:
             "nref-string", "nref-small"])
     def test_bad_study_value_exits_2(self, tmp_path, capsys, solver, key):
         cfg = write_config(tmp_path, {"solver": {"mode": "direct", **solver}})
-        assert main(["study", "--config", cfg, "--no-cache"]) == EXIT_CONFIG
+        assert main(["study", "--config", cfg]) == EXIT_CONFIG
         assert f"solver block: {key} " in capsys.readouterr().err
 
     def test_bad_format_rejected_before_solving(self, tmp_path, capsys, monkeypatch):
@@ -249,15 +251,14 @@ class TestStudyCommand:
         monkeypatch.setattr("fracctrl.analysis.optimize", no_solve)
         cfg = write_config(tmp_path, {"solver": {"Ns": [8, 16], "N_ref": 64, "mode": "direct"},
                                       "output": {"format": "xlsx"}})
-        assert main(["study", "--config", cfg, "--no-cache"]) == EXIT_CONFIG
+        assert main(["study", "--config", cfg]) == EXIT_CONFIG
         assert "output block: unknown format 'xlsx'" in capsys.readouterr().err
 
     def test_json_and_md_render(self, tmp_path):
         from fracctrl.analysis import convergence_study
         cfg = RunConfig(problem={"alpha": 1.8, "theta": 0.7})
         spec = build_spec(cfg)
-        report = convergence_study(spec, [8, 16], 64,
-                                   SolverConfig(N=8, mode="direct"), use_cache=False)
+        report = convergence_study(spec, [8, 16], 64, SolverConfig(N=8, mode="direct"))
         payload = json.loads(render_report(report, "json"))
         assert payload["Ns"] == [8, 16]
         assert "u_weighted" in payload["errors"]
@@ -275,55 +276,8 @@ class TestSolverFailure:
             "problem": {"alpha": 1.8, "theta": 0.7, "gamma": 0.001},
             "solver": {"N": 64, "Ns": [16, 32], "N_ref": 128},
         })
-        for argv in (["solve", "--config", cfg], ["study", "--config", cfg, "--no-cache"]):
+        for argv in (["solve", "--config", cfg], ["study", "--config", cfg]):
             assert main(argv) == EXIT_SOLVER
             err = capsys.readouterr().err.splitlines()
             failures = [line for line in err if line.startswith("solver failure:")]
             assert len(failures) == 1 and "grows by a factor" in failures[0]
-
-
-class TestCacheCommand:
-    def test_list_empty(self, capsys):
-        assert main(["cache", "list"]) == EXIT_OK
-        assert "0 entries" in capsys.readouterr().out
-
-    def test_clear_requires_force(self, capsys):
-        assert main(["cache", "clear"]) == EXIT_CONFIG
-        assert "--force" in capsys.readouterr().err
-
-    def test_populate_verify_clear(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {
-            "problem": {"alpha": 1.8, "theta": 0.7},
-            "solver": {"Ns": [8], "N_ref": 32, "mode": "direct"},
-        })
-        assert main(["study", "--config", cfg, "--out",
-                     str(tmp_path / "s.csv")]) == EXIT_OK
-        capsys.readouterr()
-        assert main(["cache", "list"]) == EXIT_OK
-        assert "1 entries" in capsys.readouterr().out
-        assert main(["cache", "verify"]) == EXIT_OK
-        assert "ok" in capsys.readouterr().out
-        assert main(["cache", "clear", "--force"]) == EXIT_OK
-        assert "removed 1" in capsys.readouterr().out
-        cache_dir = os.environ["FRACCTRL_CACHE_DIR"]
-        assert not [f for f in os.listdir(cache_dir) if f.endswith(".npz")]
-
-    def test_verify_reports_corrupt(self, capsys):
-        spec = build_spec(RunConfig(problem={"alpha": 1.8, "theta": 0.7}))
-        cfg = SolverConfig(N=16, mode="direct")
-        path = cache_path(_spec_digest(spec, 16, cfg))
-        reference_solve(spec, 16, cfg)
-        with open(path, "r+b") as fh:
-            fh.seek(os.path.getsize(path) - 16)
-            fh.write(b"\xde\xad\xbe\xef" * 4)
-        assert main(["cache", "verify"]) == EXIT_SOLVER
-        assert "CORRUPT" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("sample", ["0", "-1"])
-    def test_verify_sample_below_one_exits_2(self, capsys, sample):
-        # with an entry to sample: -1 used to reach random.sample, and 0
-        # verified nothing and exited 0
-        spec = build_spec(RunConfig(problem={"alpha": 1.8, "theta": 0.7}))
-        reference_solve(spec, 16, SolverConfig(N=16, mode="direct"))
-        assert main(["cache", "verify", "--sample", sample]) == EXIT_CONFIG
-        assert "--sample must be at least 1" in capsys.readouterr().err
